@@ -20,9 +20,9 @@ from . import colouring as colouring_mod
 from . import families as families_mod
 from . import search as search_mod
 from . import spectral as spectral_mod
-from .graphs import Family, GraphKind, GraphStats, PsiRow, VertexWord
+from .graphs import Family, GraphKind, PsiRow, VertexWord
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 TOOL_VERSION = "ortho-lab 0.1.0"
 MEMBER_LIMIT = 2048
 
@@ -50,8 +50,16 @@ def vertex(v: VertexWord) -> dict:
     return {"bits": v.hex(), "n": v.n}
 
 
+def strict_int(x, what: str) -> int:
+    """A decoded JSON integer; rejects floats, booleans and strings, which
+    int() would coerce or overflow on."""
+    if type(x) is not int:
+        raise ValueError(f"{what} must be a JSON integer, got {x!r}")
+    return x
+
+
 def decode_vertex(obj: dict) -> VertexWord:
-    return VertexWord.from_hex(obj["bits"], int(obj["n"]))
+    return VertexWord.from_hex(obj["bits"], strict_int(obj["n"], "vertex n"))
 
 
 def graph_kind(kind: GraphKind) -> dict:
@@ -59,7 +67,7 @@ def graph_kind(kind: GraphKind) -> dict:
 
 
 def decode_kind(obj: dict) -> GraphKind:
-    return GraphKind(Family(obj["family"]), int(obj["n"]))
+    return GraphKind(Family(obj["family"]), strict_int(obj["n"], "kind n"))
 
 
 def envelope(kind: str, n: int, payload: dict) -> dict:
@@ -84,14 +92,14 @@ def validate_envelope(obj) -> tuple[str, int, dict]:
     for key in ("schema_version", "kind", "n", "produced_by", "payload"):
         if key not in obj:
             raise ValueError(f"envelope missing {key!r}")
-    if obj["schema_version"] != SCHEMA_VERSION:
+    if strict_int(obj["schema_version"], "schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {obj['schema_version']!r}")
     kind = obj["kind"]
     if kind not in KINDS:
         raise ValueError(f"unknown certificate kind {kind!r}")
     if not isinstance(obj["payload"], dict):
         raise ValueError("payload must be a JSON object")
-    return kind, int(obj["n"]), obj["payload"]
+    return kind, strict_int(obj["n"], "n"), obj["payload"]
 
 
 # -- payload builders ----------------------------------------------------------
@@ -203,7 +211,6 @@ def search_payload(outcome: search_mod.SearchOutcome) -> dict:
         "certificates": [
             indset_payload(c, outcome.base) for c in outcome.certificates
         ],
-        "wall_time": outcome.wall_time,
     }
 
 
@@ -277,17 +284,6 @@ def psi_table_payload(k: int, rows: list[PsiRow]) -> dict:
     }
 
 
-def stats_payload(stats: GraphStats) -> dict:
-    return {
-        "n": stats.n,
-        "vertex_count": big(stats.vertex_count),
-        "edge_count": big(stats.edge_count),
-        "degree": big(stats.degree),
-        "parity_class": None if stats.parity_class is None else stats.parity_class.value,
-        "component_count": big(stats.component_count),
-    }
-
-
 def status_payload(report: colouring_mod.ChiStatusReport) -> dict:
     return {
         "verdict": report.verdict.value,
@@ -306,12 +302,14 @@ def decode_colouring(payload: dict) -> colouring_mod.ColouringCertificate:
         tuple(decode_vertex(v) for v in cls) for cls in payload["classes"]
     )
     return colouring_mod.ColouringCertificate(
-        kind=kind, classes=classes, palette_size=int(payload["palette_size"])
+        kind=kind,
+        classes=classes,
+        palette_size=strict_int(payload["palette_size"], "palette_size"),
     )
 
 
 def decode_clique(payload: dict) -> colouring_mod.CliqueCertificate:
     verts = tuple(decode_vertex(v) for v in payload["vertices"])
     return colouring_mod.CliqueCertificate(
-        n=int(payload["n"]), vertices=verts, size=len(verts)
+        n=strict_int(payload["n"], "n"), vertices=verts, size=len(verts)
     )

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional
 
 from . import certificates, colouring, families, search, spectral
-from .graphs import Family, VertexWord, omega, psi, psi_stats, y_quotient
+from .graphs import omega, psi_stats, y_quotient
 
 SPECTRUM_DIMS = (4, 8, 12, 16)
 
@@ -29,20 +28,6 @@ def _emit(env: dict, out: Optional[str]) -> None:
         print(f"wrote {env['kind']} certificate to {out}", file=sys.stderr)
     else:
         sys.stdout.write(text)
-
-
-def _jobs_from(args) -> Optional[int]:
-    if args.jobs is not None:
-        return args.jobs
-    env = os.environ.get("ORTHO_LAB_JOBS")
-    if env:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ValueError(
-                f"ORTHO_LAB_JOBS must be an integer, got {env!r}"
-            ) from exc
-    return None
 
 
 def cmd_bound(args) -> int:
@@ -71,10 +56,10 @@ def cmd_spectrum(args) -> int:
 
 def cmd_search(args) -> int:
     base = int(args.base, 16)
-    outcome = search.enumerate_candidates(args.n, base=base, jobs=_jobs_from(args))
+    outcome = search.enumerate_candidates(args.n, base=base)
     print(
-        f"scanned {outcome.candidates_total} candidates in "
-        f"{outcome.wall_time:.2f}s; {len(outcome.certificates)} certificate(s)",
+        f"scanned {outcome.candidates_total} candidates; "
+        f"{len(outcome.certificates)} certificate(s)",
         file=sys.stderr,
     )
     _emit(
@@ -136,14 +121,10 @@ def cmd_status(args) -> int:
 
 # -- verification --------------------------------------------------------------
 
-def _strip_volatile(obj):
-    if isinstance(obj, dict):
-        return {
-            k: _strip_volatile(v) for k, v in obj.items() if k != "wall_time"
-        }
-    if isinstance(obj, list):
-        return [_strip_volatile(v) for v in obj]
-    return obj
+def _same(regen: dict, payload: dict) -> bool:
+    """Equal as canonical JSON, so 3.0 or true never passes for 3 or 1.
+    Needed where a payload holds fields that no strict decoder reads."""
+    return certificates.dumps(regen) == certificates.dumps(payload)
 
 
 def _regenerate_payload(kind: str, n: int, payload: dict) -> dict:
@@ -153,6 +134,8 @@ def _regenerate_payload(kind: str, n: int, payload: dict) -> dict:
         if payload.get("report_type") == "spectral_identities":
             return certificates.spectrum_payload(*_spectrum_sections(n))
         gk = certificates.decode_kind(payload["kind"])
+        if gk.n != n:
+            raise ValueError("envelope dimension does not match payload")
         return certificates.bound_payload(spectral.ratio_bound(gk))
     if kind == "search":
         base = certificates.decode_vertex(payload["base"])
@@ -176,8 +159,11 @@ def _regenerate_payload(kind: str, n: int, payload: dict) -> dict:
             return certificates.family_payload(report, symdiff=symdiff, lift=lift)
         return certificates.family_payload(families.small_odd_family(n))
     if kind == "psi_table":
-        k = int(payload["k"])
-        return certificates.psi_table_payload(k, psi_stats(k))
+        k = certificates.strict_int(payload["k"], "k")
+        rows = psi_stats(k)
+        if n != 1 << k:
+            raise ValueError("envelope dimension does not match payload")
+        return certificates.psi_table_payload(k, rows)
     if kind == "status":
         return certificates.status_payload(colouring.chi_status(n))
     raise ValueError(f"no regeneration rule for kind {kind!r}")
@@ -196,7 +182,7 @@ def _verify_validity(kind: str, n: int, payload: dict) -> list[str]:
         except ValueError as exc:
             return [f"independent-set recheck failed: {exc}"]
         regen = certificates.indset_payload(cert, base)
-        if regen != payload:
+        if not _same(regen, payload):
             problems.append("stored fields disagree with recomputed certificate")
     elif kind == "clique":
         cert = certificates.decode_clique(payload)
@@ -240,7 +226,7 @@ def cmd_verify(args) -> int:
         else:
             regen = _regenerate_payload(kind, n, payload)
             problems = []
-            if _strip_volatile(regen) != _strip_volatile(payload):
+            if not _same(regen, payload):
                 problems.append("stored payload disagrees with regenerated payload")
     except (ValueError, KeyError, TypeError) as exc:
         print(f"FAIL: {kind} certificate could not be rechecked: {exc}", file=sys.stderr)
@@ -281,13 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="enumerate tight independent sets in the quotient")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--base", default="0", help="base vertex as hex (default 0)")
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker threads for the scan (default: ORTHO_LAB_JOBS, "
-        "else available parallelism)",
-    )
     _add_out(p)
     p.set_defaults(func=cmd_search)
 

@@ -21,11 +21,11 @@ from .graphs import (
     GraphKind,
     VertexWord,
     adjacent_bits,
+    as_bits,
     full_mask,
     omega,
     psi,
     psi_edges,
-    y_vertices,
 )
 
 
@@ -72,7 +72,7 @@ def translate_disjointness(s_vertices: Sequence, clique: CliqueCertificate) -> b
     """True iff the |clique| translates of the set are pairwise disjoint.
     The set must be independent; that is a precondition, not a result."""
     n = clique.n
-    bits = [search._as_bits(v) for v in s_vertices]
+    bits = [as_bits(v) for v in s_vertices]
     if not search.check_independent(bits, omega(n)):
         raise ValueError("translate test needs an independent set")
     base = set(bits)
@@ -91,12 +91,6 @@ class ColouringCertificate:
     palette_size: int
 
 
-def _vertex_universe(kind: GraphKind) -> list[int]:
-    if kind.family is Family.Y:
-        return y_vertices(kind.n)
-    return list(range(1 << kind.n))
-
-
 def verify_colouring(cert: ColouringCertificate) -> bool:
     """Recheck the partition and every class from scratch.  For the
     recursive graph the class check walks the materialized edge stream;
@@ -113,7 +107,7 @@ def verify_colouring(cert: ColouringCertificate) -> bool:
             total += 1
     if cert.palette_size != len(cert.classes):
         return False
-    universe = _vertex_universe(kind)
+    universe = spectral.vertex_order(kind)
     if total != len(universe) or seen != set(universe):
         return False
     if kind.family is Family.PSI:
@@ -133,7 +127,7 @@ def normal_cayley_colouring(
     """Colour classes are the translates of the independent set by the
     clique members; sizes must multiply to the vertex count."""
     n = clique.n
-    bits = sorted(search._as_bits(v) for v in s_vertices)
+    bits = sorted(as_bits(v) for v in s_vertices)
     if len(bits) * clique.size != 1 << n:
         raise ValueError("set size times clique size must equal the vertex count")
     if not translate_disjointness(bits, clique):
@@ -220,7 +214,8 @@ def omega_colouring(n: int) -> ColouringCertificate:
             classes=((VertexWord(0, 1), VertexWord(1, 1)),),
             palette_size=1,
         )
-        assert verify_colouring(cert)
+        if not verify_colouring(cert):
+            raise AssertionError("single-class colouring failed re-verification")
         return cert
     if n % 4 == 2:
         return bipartite_colouring(n)

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import comb
 from typing import Optional, Sequence
 
 from . import search, spectral
@@ -23,6 +22,7 @@ from .graphs import (
     GraphKind,
     VertexWord,
     adjacent_bits,
+    as_bits,
     full_mask,
     omega,
     y_canonical_bits,
@@ -186,7 +186,7 @@ def lift_members(members: Sequence, n: int) -> list[int]:
     pair, plus both translated by the first-coordinate flip (an odd word,
     so the translates land in the other parity component)."""
     mask = full_mask(n)
-    mlist = [search._as_bits(v) for v in members]
+    mlist = [as_bits(v) for v in members]
     out = set()
     for x in mlist:
         out.update((x, x ^ mask, x ^ 1, x ^ mask ^ 1))

@@ -71,6 +71,11 @@ class VertexWord:
         return cls(int(s, 16), n)
 
 
+def as_bits(v) -> int:
+    """The raw word of a vertex given as a VertexWord or as an int."""
+    return v.bits if isinstance(v, VertexWord) else int(v)
+
+
 class Family(Enum):
     OMEGA = "omega"
     Y = "y"
@@ -183,10 +188,10 @@ def structure_report(kind: GraphKind) -> GraphStats:
         return GraphStats(n, vc, 0, 0, ParityClass.EDGELESS, vc)
     edges = (1 << (n - 1)) * deg
     components = vc >> _connection_rank(n)
+    if components != (1 if n % 4 == 2 else 2):
+        raise ArithmeticError(f"GF(2) rank gives {components} components for n={n}")
     if n % 4 == 2:
-        assert components == 1
         return GraphStats(n, vc, edges, deg, ParityClass.BIPARTITE, 1)
-    assert components == 2
     return GraphStats(n, vc, edges, deg, ParityClass.TWO_ISOMORPHIC_COMPONENTS, 2)
 
 

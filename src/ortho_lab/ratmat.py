@@ -41,17 +41,6 @@ def from_rows(rows: Iterable[Sequence]) -> Matrix:
     return out
 
 
-def zeros(r: int, c: int) -> Matrix:
-    return [[Fraction(0)] * c for _ in range(r)]
-
-
-def identity(k: int) -> Matrix:
-    out = zeros(k, k)
-    for i in range(k):
-        out[i][i] = Fraction(1)
-    return out
-
-
 def shape(a: Matrix) -> tuple[int, int]:
     return len(a), len(a[0]) if a else 0
 
@@ -60,34 +49,10 @@ def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)] if a else []
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    ra, ca = shape(a)
-    rb, cb = shape(b)
-    if ca != rb:
-        raise ValueError(f"shape mismatch: {ra}x{ca} times {rb}x{cb}")
-    bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
 def mat_vec(a: Matrix, v: Vector) -> Vector:
     if a and len(v) != len(a[0]):
         raise ValueError("shape mismatch")
     return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
-def add(a: Matrix, b: Matrix) -> Matrix:
-    if shape(a) != shape(b):
-        raise ValueError("shape mismatch")
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def scale(a: Matrix, c) -> Matrix:
-    f = as_fraction(c)
-    return [[f * x for x in row] for row in a]
-
-
-def is_zero(a: Matrix) -> bool:
-    return all(x == 0 for row in a for x in row)
 
 
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
@@ -132,23 +97,6 @@ def rcef(a: Matrix) -> EchelonResult:
 
 def rank(a: Matrix) -> int:
     return len(rref(a)[1])
-
-
-def nullspace(a: Matrix) -> list[Vector]:
-    """Basis of the right kernel, one vector per free column of the rref."""
-    r, pivots = rref(a)
-    _, cols = shape(a)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(cols):
-        if free in pivot_set:
-            continue
-        v = [Fraction(0)] * cols
-        v[free] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -r[i][free]
-        basis.append(v)
-    return basis
 
 
 def common_denominator(a: Matrix) -> int:

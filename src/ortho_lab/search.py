@@ -10,18 +10,14 @@ the pivot rows, so candidates are exactly the 0/1 assignments x and the
 scan is exhaustive, not heuristic.
 
 The scan itself runs on a scaled integer copy of the echelon matrix in
-int64 (entry bounds are checked), in contiguous candidate ranges that
-make the worker split deterministic; survivors are re-verified in exact
+int64 (entry bounds are checked); survivors are re-verified in exact
 rational arithmetic before certification.
 """
 
 from __future__ import annotations
 
-import os
-import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,6 +28,7 @@ from .graphs import (
     GraphKind,
     VertexWord,
     adjacent_bits,
+    as_bits,
     is_y_canonical,
     y_neighbours_bits,
     y_quotient,
@@ -42,10 +39,6 @@ PIPELINE_DIMS = (8, 12, 16)
 
 _F1 = Fraction(1)
 _FM1 = Fraction(-1)
-
-
-def _as_bits(v) -> int:
-    return v.bits if isinstance(v, VertexWord) else int(v)
 
 
 def quotient_sign_matrix(n: int) -> ratmat.Matrix:
@@ -61,16 +54,12 @@ def quotient_sign_matrix(n: int) -> ratmat.Matrix:
     ]
 
 
-def with_ones_column(m: ratmat.Matrix) -> ratmat.Matrix:
-    return [row + [_F1] for row in m]
-
-
 def neighbourhood_rows(n: int, base: int = 0) -> ratmat.Matrix:
     """The sign-matrix rows of the base vertex's quotient neighbours, with
     the all-ones column appended."""
     if n not in (4,) + PIPELINE_DIMS:
         raise ValueError("neighbourhood rows materialized for n in {4, 8, 12, 16}")
-    base = _as_bits(base)
+    base = as_bits(base)
     _require_canonical(base, n)
     pairs = spectral.two_subset_masks(n)
     return [
@@ -104,13 +93,7 @@ def _product_rows(n: int, base: int) -> ratmat.Matrix:
     matrix, which is how vertex-transitivity enters.
     """
     pairs = spectral.two_subset_masks(n)
-    vert_colmask = []
-    for v in range(n):
-        m = 0
-        for k, p in enumerate(pairs):
-            if p >> v & 1:
-                m |= 1 << k
-        vert_colmask.append(m)
+    vert_colmask = spectral._vertex_column_masks(n, pairs)
     rows = []
     for a in y_vertices(n):
         r = a ^ base
@@ -141,24 +124,18 @@ def kernel_reduce(n: int, base: int = 0) -> KernelReduction:
     0/1-pinning argument needs exactly n pivot rows."""
     if n not in PIPELINE_DIMS:
         raise ValueError("kernel reduction runs for n in {8, 12, 16}")
-    base = _as_bits(base)
+    base = as_bits(base)
     _require_canonical(base, n)
     pairs = spectral.two_subset_masks(n)
     npairs = len(pairs)
 
-    inc_ext = with_ones_column(incidence_matrix(n))
+    inc_ext = [row + [_F1] for row in incidence_matrix(n)]
     incidence_rank = ratmat.rank(inc_ext)
 
     # rank of the neighbourhood rows via their Gram matrix; exact because
     # rank(A) == rank(A^T A) over the rationals
     neigh = y_neighbours_bits(base, n)
-    colsign = [0] * npairs
-    for idx, a in enumerate(neigh):
-        sm = spectral._sign_row_mask(a, pairs)
-        while sm:
-            low = sm & -sm
-            colsign[low.bit_length() - 1] |= 1 << idx
-            sm ^= low
+    colsign = spectral._column_sign_masks(neigh, pairs)
     colsign.append(0)  # the all-ones column
     rows = len(neigh)
     gram = ratmat.from_rows(
@@ -214,14 +191,13 @@ class SearchOutcome:
     count_independent: int
     count_containing_base: int
     certificates: tuple[IndSetCertificate, ...]
-    wall_time: float
 
 
 def check_independent(vertices: Sequence, kind: GraphKind) -> bool:
     """Pairwise non-adjacency scan; duplicates are an input error, not a
     False result."""
     n = kind.n
-    bits = [_as_bits(v) for v in vertices]
+    bits = [as_bits(v) for v in vertices]
     if len(set(bits)) != len(bits):
         raise ValueError("duplicate vertices")
     for b in bits:
@@ -239,7 +215,7 @@ def check_independent(vertices: Sequence, kind: GraphKind) -> bool:
 def certify_indset(kind: GraphKind, vertices: Sequence, base: int = 0) -> IndSetCertificate:
     """Build a certificate, verifying independence and recomputing the
     bound and eigenspace flags from scratch."""
-    bits = sorted(_as_bits(v) for v in vertices)
+    bits = sorted(as_bits(v) for v in vertices)
     if not check_independent(bits, kind):
         raise ValueError("set is not independent")
     size = len(bits)
@@ -248,7 +224,7 @@ def certify_indset(kind: GraphKind, vertices: Sequence, base: int = 0) -> IndSet
         kind=kind,
         vertices=tuple(VertexWord(b, kind.n) for b in bits),
         size=size,
-        contains_base=_as_bits(base) in set(bits),
+        contains_base=as_bits(base) in set(bits),
         meets_ratio_bound=size == bound,
         eigenspace_member=spectral.equality_condition_check(kind, bits),
     )
@@ -279,101 +255,63 @@ def _scan_01_candidates(cint: np.ndarray, scale: int, lo: int, hi: int) -> list[
     return out
 
 
+def _echelon_candidates(n: int, base: int) -> list[list[int]]:
+    """The vertex sets of the 0/1-valued candidates for n in {8, 12, 16}:
+    an int64 scan of the scaled echelon matrix, then an exact rational
+    re-check of every survivor."""
+    cmat = kernel_reduce(n, base).echelon.matrix
+    scale = ratmat.common_denominator(cmat)
+    cint_rows = ratmat.int_rows(cmat, scale)
+    # the int64 scan is exact only if no dot product can overflow
+    if max(sum(map(abs, row)) for row in cint_rows) >= 2**62:
+        raise ArithmeticError("echelon entries too large for an exact int64 scan")
+    cint = np.array(cint_rows, dtype=np.int64)
+    order = y_vertices(n)
+    out = []
+    for x in _scan_01_candidates(cint, scale, 0, 1 << n):
+        z = ratmat.mat_vec(cmat, [Fraction(x >> j & 1) for j in range(n)])
+        if any(e not in (0, 1) for e in z):
+            raise ArithmeticError(f"scan kept candidate {x}, which is not 0/1-valued")
+        out.append([order[i] for i, e in enumerate(z) if e == 1])
+    return out
+
+
+def _subset_candidates(n: int, base: int) -> list[list[int]]:
+    """Dimension 4 degenerates: the quotient is a complete graph and the
+    collapsed matrix loses rank, so candidates are the raw vertex subsets
+    instead (there are again exactly 2^n of them); those avoiding the
+    base's neighbourhood count as 0/1-valued."""
+    _require_canonical(base, n)
+    forbidden = set(y_neighbours_bits(base, n))
+    allowed = [v for v in y_vertices(n) if v not in forbidden]
+    return [
+        [v for i, v in enumerate(allowed) if mask >> i & 1]
+        for mask in range(1 << len(allowed))
+    ]
+
+
 def enumerate_candidates(
     n: int, base: int = 0, jobs: Optional[int] = None
 ) -> SearchOutcome:
     """Scan all 2^n candidate vectors and certify the survivors.
 
-    The candidate space splits into `jobs` contiguous ranges (default:
-    available parallelism) whose results are concatenated in range order,
-    so output is identical for every worker count.  An empty certificate
-    list is a result, not a failure.
+    `jobs` is accepted for compatibility and ignored: the scan runs in
+    one thread.  An empty certificate list is a result, not a failure.
     """
-    start = time.monotonic()
-    base = _as_bits(base)
+    base = as_bits(base)
     if n == 4:
-        return _enumerate_small(n, base, start)
-    if n not in PIPELINE_DIMS:
-        raise ValueError("enumeration supported for n in {4, 8, 12, 16}")
-    reduction = kernel_reduce(n, base)
-    cmat = reduction.echelon.matrix
-    scale = ratmat.common_denominator(cmat)
-    cint_rows = ratmat.int_rows(cmat, scale)
-    cint = np.array(cint_rows, dtype=np.int64)
-    # the int64 scan is exact only if no dot product can overflow
-    assert int(np.abs(cint).sum(axis=1).max()) < 2**62
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    jobs = max(1, jobs)
-    total = 1 << n
-    step = -(-total // jobs)
-    ranges = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-    if jobs == 1:
-        survivors = [x for lo, hi in ranges for x in _scan_01_candidates(cint, scale, lo, hi)]
+        survivors = _subset_candidates(n, base)
+    elif n in PIPELINE_DIMS:
+        survivors = _echelon_candidates(n, base)
     else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = pool.map(
-                lambda r: _scan_01_candidates(cint, scale, r[0], r[1]), ranges
-            )
-            survivors = [x for part in parts for x in part]
-
-    order = y_vertices(n)
+        raise ValueError("enumeration supported for n in {4, 8, 12, 16}")
     kind = y_quotient(n)
     target = Fraction(1 << (n - 2), n)
     count_weight = 0
     count_indep = 0
     count_base = 0
     certs = []
-    for x in survivors:
-        xvec = [Fraction(x >> j & 1) for j in range(n)]
-        z = ratmat.mat_vec(cmat, xvec)
-        assert all(e in (0, 1) for e in z)  # rational re-check of the scan
-        if sum(z) != target:
-            continue
-        count_weight += 1
-        members = [order[i] for i, e in enumerate(z) if e == 1]
-        if not check_independent(members, kind):
-            continue
-        count_indep += 1
-        cert = certify_indset(kind, members, base)
-        if cert.contains_base:
-            count_base += 1
-        certs.append(cert)
-    return SearchOutcome(
-        n=n,
-        base=VertexWord(base, n),
-        candidates_total=total,
-        count_01_valued=len(survivors),
-        count_correct_weight=count_weight,
-        count_independent=count_indep,
-        count_containing_base=count_base,
-        certificates=tuple(certs),
-        wall_time=round(time.monotonic() - start, 3),
-    )
-
-
-def _enumerate_small(n: int, base: int, start: float) -> SearchOutcome:
-    """Dimension 4 degenerates: the quotient is a complete graph and the
-    collapsed matrix loses rank, so candidates are enumerated as raw
-    vertex subsets instead (there are again exactly 2^n of them)."""
-    _require_canonical(base, n)
-    order = y_vertices(n)
-    forbidden = set(y_neighbours_bits(base, n))
-    allowed = [v for v in order if v not in forbidden]
-    kind = y_quotient(n)
-    target = Fraction(1 << (n - 2), n)
-    count01 = 0
-    count_weight = 0
-    count_indep = 0
-    count_base = 0
-    certs = []
-    for mask in range(1 << len(order)):
-        members = [order[i] for i in range(len(order)) if mask >> i & 1]
-        if any(m in forbidden for m in members):
-            continue
-        count01 += 1
+    for members in survivors:
         if len(members) != target:
             continue
         count_weight += 1
@@ -388,12 +326,11 @@ def _enumerate_small(n: int, base: int, start: float) -> SearchOutcome:
         n=n,
         base=VertexWord(base, n),
         candidates_total=1 << n,
-        count_01_valued=count01,
+        count_01_valued=len(survivors),
         count_correct_weight=count_weight,
         count_independent=count_indep,
         count_containing_base=count_base,
         certificates=tuple(certs),
-        wall_time=round(time.monotonic() - start, 3),
     )
 
 
@@ -404,10 +341,11 @@ def exhaustive_tight_sets(n: int, base: int = 0) -> list[list[int]]:
     enumeration by a method that shares none of its machinery."""
     if n not in (4, 8):
         raise ValueError("backtracking oracle sized for n in {4, 8}")
-    base = _as_bits(base)
+    base = as_bits(base)
     _require_canonical(base, n)
     bound = Fraction(1 << (n - 2), n)
-    assert bound.denominator == 1
+    if bound.denominator != 1:
+        raise ArithmeticError(f"bound {bound} is not an integer")
     target = int(bound)
     forbidden = set(y_neighbours_bits(base, n))
     cand = [v for v in y_vertices(n) if v not in forbidden]

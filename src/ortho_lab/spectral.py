@@ -22,6 +22,7 @@ from . import ratmat
 from .graphs import (
     Family,
     GraphKind,
+    as_bits,
     full_mask,
     y_index_of,
     y_vertices,
@@ -142,12 +143,11 @@ def _connection_indicator(kind: GraphKind) -> list[int]:
 
 
 def vertex_order(kind: GraphKind) -> list[int]:
-    """The fixed vertex enumeration used for characteristic vectors."""
-    if kind.family is Family.OMEGA:
-        return list(range(1 << kind.n))
+    """The fixed vertex enumeration used for characteristic vectors:
+    canonical words for the quotient, every n-bit word otherwise."""
     if kind.family is Family.Y:
         return y_vertices(kind.n)
-    raise ValueError("no fixed vertex order for the recursive graph")
+    return list(range(1 << kind.n))
 
 
 def apply_adjacency(kind: GraphKind, vec: Sequence) -> list:
@@ -228,10 +228,10 @@ def verify_tau_eigenspace(n: int) -> TauEigenspaceReport:
     if n not in (4, 8):
         raise ValueError("exhaustive eigenspace check only for n in {4, 8}")
     tau = least_eigenvalue(n)
-    assert tau.denominator == 1
+    if tau.denominator != 1:
+        raise ArithmeticError(f"least eigenvalue {tau} is not an integer")
     t = tau.numerator
-    half = n // 2
-    diffs = [w for w in range(1 << n) if w.bit_count() == half]
+    diffs = _neighbourhood_words(n)
     pairs = two_subset_masks(n)
     masks = pairs + [p ^ full_mask(n) for p in pairs]
     verts = range(1 << n)
@@ -263,7 +263,7 @@ def equality_condition_check(kind: GraphKind, members) -> bool:
     n = kind.n
     order = vertex_order(kind)
     pos = {w: k for k, w in enumerate(order)}
-    bits = [m.bits if hasattr(m, "bits") else int(m) for m in members]
+    bits = [as_bits(m) for m in members]
     if len(set(bits)) != len(bits):
         raise ValueError("duplicate members")
     z = [0] * len(order)
@@ -295,6 +295,31 @@ def _sign_row_mask(a: int, pairs: list[int]) -> int:
         if (a & p).bit_count() & 1:
             m |= 1 << k
     return m
+
+
+def _column_sign_masks(words: Sequence[int], pairs: list[int]) -> list[int]:
+    """One mask per pair: bit idx set iff the sign-matrix row of words[idx]
+    is -1 in that pair's column."""
+    colsign = [0] * len(pairs)
+    for idx, a in enumerate(words):
+        sm = _sign_row_mask(a, pairs)
+        while sm:
+            low = sm & -sm
+            colsign[low.bit_length() - 1] |= 1 << idx
+            sm ^= low
+    return colsign
+
+
+def _vertex_column_masks(n: int, pairs: list[int]) -> list[int]:
+    """One mask per element v of [n]: bit k set iff pair k contains v."""
+    vert_colmask = []
+    for v in range(n):
+        m = 0
+        for k, p in enumerate(pairs):
+            if p >> v & 1:
+                m |= 1 << k
+        vert_colmask.append(m)
+    return vert_colmask
 
 
 @dataclass(frozen=True)
@@ -331,13 +356,7 @@ def gram_identities(n: int) -> GramIdentityReport:
     pairs = two_subset_masks(n)
     npairs = len(pairs)
     neigh = _neighbourhood_words(n)
-    vert_colmask = []
-    for v in range(n):
-        m = 0
-        for k, p in enumerate(pairs):
-            if p >> v & 1:
-                m |= 1 << k
-        vert_colmask.append(m)
+    vert_colmask = _vertex_column_masks(n, pairs)
     witness = None
     product_ok = True
     row_sums_ok = True
@@ -404,14 +423,7 @@ def neighbourhood_gram_spectrum(n: int) -> GramSpectrumReport:
     npairs = len(pairs)
     neigh = _neighbourhood_words(n)
     rows = len(neigh)
-    # column sign masks over all neighbourhood rows
-    colsign = [0] * npairs
-    for idx, a in enumerate(neigh):
-        sm = _sign_row_mask(a, pairs)
-        while sm:
-            low = sm & -sm
-            colsign[low.bit_length() - 1] |= 1 << idx
-            sm ^= low
+    colsign = _column_sign_masks(neigh, pairs)
     c0 = comb(n, half)
     c1 = c0 - 8 * comb(n - 3, half - 1)
     c2 = c0 - 16 * comb(n - 4, half - 1)

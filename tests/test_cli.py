@@ -1,11 +1,14 @@
 """Command-line behaviour: canonical output, verification, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ortho_lab
 from ortho_lab import certificates, cli, colouring, search
 from ortho_lab.graphs import VertexWord, y_quotient
 
@@ -14,6 +17,20 @@ def run_cli(argv, capsys):
     code = cli.run(argv)
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def run_module(argv):
+    """Run ``python -m ortho_lab.cli`` in a fresh interpreter that imports
+    the package under test, installed or not."""
+    env = dict(os.environ)
+    src = str(Path(ortho_lab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "ortho_lab.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
 
 
 # --- canonical serialization --------------------------------------------------
@@ -30,7 +47,7 @@ def test_dumps_is_canonical_and_round_trips():
 
 def test_envelope_shape():
     env = certificates.envelope("search", 8, {})
-    assert env["schema_version"] == 1
+    assert env["schema_version"] == 2
     assert env["produced_by"].startswith("ortho-lab ")
     with pytest.raises(ValueError):
         certificates.envelope("nonsense", 8, {})
@@ -49,7 +66,7 @@ def test_validate_envelope_rejects_malformed_objects():
     with pytest.raises(ValueError):
         certificates.validate_envelope({"kind": "bound"})
     good = certificates.envelope("bound", 8, {})
-    bad = dict(good, schema_version=2)
+    bad = dict(good, schema_version=1)
     with pytest.raises(ValueError):
         certificates.validate_envelope(bad)
 
@@ -91,20 +108,6 @@ def test_search_subcommand_writes_file(tmp_path, capsys):
     assert env["kind"] == "search"
     assert len(env["payload"]["certificates"]) == 8
     assert env["payload"]["count_01_valued"] == "9"
-
-
-def test_search_respects_jobs_env(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("ORTHO_LAB_JOBS", "2")
-    code, out, _ = run_cli(["search", "--n", "8"], capsys)
-    assert code == 0
-    assert len(json.loads(out)["payload"]["certificates"]) == 8
-
-
-def test_search_rejects_bad_jobs_env(capsys, monkeypatch):
-    monkeypatch.setenv("ORTHO_LAB_JOBS", "many")
-    with pytest.raises(SystemExit) as exc:
-        cli.run(["search", "--n", "8"])
-    assert exc.value.code == 2
 
 
 def test_colour_subcommand(capsys):
@@ -250,13 +253,17 @@ def test_verify_rejects_tampered_colouring(tmp_path, capsys):
 
 def test_verify_rejects_flag_flips_without_structure_damage(tmp_path, capsys):
     cert = search.certify_indset(y_quotient(8), [0, 126])
-    payload = certificates.indset_payload(cert, VertexWord(0, 8))
-    payload["eigenspace_member"] = True  # a two-set is nowhere near tight
-    env = certificates.envelope("indset", 8, payload)
-    p = tmp_path / "flip.json"
-    p.write_text(certificates.dumps(env))
-    code, _, err = run_cli(["verify", str(p)], capsys)
-    assert code == 1
+    for field, value in (
+        ("eigenspace_member", True),  # a two-set is nowhere near tight
+        ("contains_base", 1),  # true, but not as a JSON boolean
+    ):
+        payload = certificates.indset_payload(cert, VertexWord(0, 8))
+        payload[field] = value
+        env = certificates.envelope("indset", 8, payload)
+        p = tmp_path / "flip.json"
+        p.write_text(certificates.dumps(env))
+        code, _, err = run_cli(["verify", str(p)], capsys)
+        assert code == 1, field
 
 
 def test_verify_rejects_malformed_json(tmp_path, capsys):
@@ -266,14 +273,73 @@ def test_verify_rejects_malformed_json(tmp_path, capsys):
     assert code == 1
 
 
-def test_verify_search_ignores_wall_time(tmp_path, capsys):
+def test_verify_rejects_search_with_added_wall_time(tmp_path, capsys):
     path = tmp_path / "s.json"
     run_cli(["search", "--n", "8", "--out", str(path)], capsys)
     env = json.loads(path.read_text())
     env["payload"]["wall_time"] = 99.0
     path.write_text(certificates.dumps(env))
-    code, _, _ = run_cli(["verify", str(path)], capsys)
-    assert code == 0
+    code, _, err = run_cli(["verify", str(path)], capsys)
+    assert code == 1
+    assert "FAIL" in err
+
+
+def test_search_certificate_bytes_are_reproducible():
+    first, second = (run_module(["search", "--n", "8"]) for _ in range(2))
+    assert first.returncode == second.returncode == 0
+    assert first.stdout == second.stdout
+
+
+# placeholder swapped for raw JSON text, since json.dumps cannot write 1e400
+RAW = "@raw@"
+
+
+@pytest.mark.parametrize(
+    "argv, path, raw",
+    [
+        (["bound", "--n", "8"], ("n",), "1e400"),
+        (["search", "--n", "8"], ("payload", "base", "n"), "1e400"),
+        (["colour", "--n", "4"], ("payload", "kind", "n"), "1e400"),
+        (["colour", "--n", "4"], ("payload", "classes", 0, 0, "n"), "1e400"),
+        (["bound", "--n", "8"], ("n",), "true"),
+        (["bound", "--n", "8"], ("n",), "8.5"),
+        (["bound", "--n", "8"], ("n",), '"8"'),
+        (["bound", "--n", "8"], ("schema_version",), "true"),
+        (["colour", "--n", "4"], ("payload", "palette_size"), "4.0"),
+        (["bound", "--n", "8"], ("n",), "12"),
+        (["psi", "--k", "3"], ("n",), "64"),
+        (["families", "--n", "12", "--which", "m2k"], ("payload", "factor"), "3.0"),
+        (["psi", "--k", "3"], ("payload", "rows", 0, "n"), "2.0"),
+    ],
+    ids=[
+        "envelope-n-huge-float",
+        "search-base-n-huge-float",
+        "colouring-kind-n-huge-float",
+        "colouring-vertex-n-huge-float",
+        "envelope-n-true",
+        "envelope-n-fraction",
+        "envelope-n-string",
+        "schema-version-true",
+        "palette-size-float",
+        "bound-relabelled-n12",
+        "psi-table-relabelled-n64",
+        "family-factor-float",
+        "psi-row-n-float",
+    ],
+)
+def test_verify_decodes_integers_strictly(tmp_path, capsys, argv, path, raw):
+    cert = tmp_path / "cert.json"
+    run_cli(argv + ["--out", str(cert)], capsys)
+    env = json.loads(cert.read_text())
+    node = env
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = RAW
+    cert.write_text(certificates.dumps(env).replace(json.dumps(RAW), raw))
+    code, out, err = run_cli(["verify", str(cert)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.count("FAIL:") == 1 and "Traceback" not in err
 
 
 # --- exit codes ---------------------------------------------------------------
@@ -286,6 +352,7 @@ def test_usage_errors_exit_2():
         ["verify", "/nonexistent/path.json"],
         ["colour", "--n", "3", "--graph", "psi"],
         ["spectrum", "--n", "20"],
+        ["search", "--n", "8", "--jobs", "2"],
     ):
         with pytest.raises(SystemExit) as exc:
             cli.run(argv)
@@ -293,18 +360,10 @@ def test_usage_errors_exit_2():
 
 
 def test_console_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "ortho_lab.cli"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module([])
     assert proc.returncode == 2  # no subcommand is a usage error
 
-    proc = subprocess.run(
-        [sys.executable, "-m", "ortho_lab.cli", "bound", "--n", "8"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module(["bound", "--n", "8"])
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["payload"]["bound"] == "32"
 

@@ -7,7 +7,7 @@ from math import comb
 import pytest
 
 from ortho_lab import spectral
-from ortho_lab.graphs import omega, y_quotient
+from ortho_lab.graphs import omega, psi, y_quotient
 
 
 # --- closed-form eigenvalue and bound -----------------------------------------
@@ -61,6 +61,10 @@ def test_apply_adjacency_on_all_ones_gives_degree():
         if kind.family.value == "y":
             d //= 2
         assert out == [d] * len(ones)
+    # the recursive graph has every word as a vertex, but no Cayley apply
+    assert spectral.vertex_order(psi(4)) == list(range(16))
+    with pytest.raises(ValueError):
+        spectral.apply_adjacency(psi(4), [1] * 16)
 
 
 def test_adjacency_strategies_agree_on_random_vectors():
