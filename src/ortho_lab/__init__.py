@@ -26,7 +26,6 @@ from .graphs import (
 )
 from .spectral import (
     BoundReport,
-    character_basis,
     equality_condition_check,
     gram_identities,
     least_eigenvalue,
@@ -41,8 +40,6 @@ from .search import (
     check_independent,
     enumerate_candidates,
     kernel_reduce,
-    neighbourhood_rows,
-    quotient_sign_matrix,
 )
 from .colouring import (
     ChiStatusReport,
@@ -87,7 +84,6 @@ __all__ = [
     "y_quotient",
     "y_vertices",
     "BoundReport",
-    "character_basis",
     "equality_condition_check",
     "gram_identities",
     "least_eigenvalue",
@@ -100,8 +96,6 @@ __all__ = [
     "check_independent",
     "enumerate_candidates",
     "kernel_reduce",
-    "neighbourhood_rows",
-    "quotient_sign_matrix",
     "ChiStatusReport",
     "CliqueCertificate",
     "ColouringCertificate",

@@ -184,6 +184,8 @@ def _verify_validity(kind: str, n: int, payload: dict) -> list[str]:
         regen = certificates.indset_payload(cert, base)
         if not _same(regen, payload):
             problems.append("stored fields disagree with recomputed certificate")
+        if not gk.n == base.n == n:
+            problems.append("envelope dimension does not match payload")
     elif kind == "clique":
         cert = certificates.decode_clique(payload)
         if not colouring.verify_clique(cert):
@@ -217,7 +219,7 @@ def cmd_verify(args) -> int:
     try:
         obj = json.loads(text)
         kind, n, payload = certificates.validate_envelope(obj)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, RecursionError) as exc:
         print(f"FAIL: malformed certificate: {exc}", file=sys.stderr)
         return 1
     try:
@@ -232,8 +234,7 @@ def cmd_verify(args) -> int:
         print(f"FAIL: {kind} certificate could not be rechecked: {exc}", file=sys.stderr)
         return 1
     if problems:
-        for p in problems:
-            print(f"FAIL: {p}", file=sys.stderr)
+        print(f"FAIL: {'; '.join(problems)}", file=sys.stderr)
         return 1
     print(f"OK: {kind} certificate for n={n} verified")
     return 0

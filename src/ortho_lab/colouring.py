@@ -37,6 +37,8 @@ class CliqueCertificate:
 
 
 def verify_clique(cert: CliqueCertificate) -> bool:
+    if any(v.n != cert.n for v in cert.vertices):
+        return False
     bits = [v.bits for v in cert.vertices]
     if len(set(bits)) != cert.size or cert.size != len(bits):
         return False

@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 
 from . import search, spectral
 from .graphs import (
+    MAX_N,
     Family,
     GraphKind,
     VertexWord,
@@ -231,8 +232,8 @@ def m2k_bound(n: int) -> DoublingBoundReport:
     by 2^n/2^k.  When 4 | n the eigenvalue bound 2^n/n is better by
     exactly the odd factor m; when k = 1 the doubling bound is tight
     because the graph is bipartite."""
-    if n < 2 or n % 2:
-        raise ValueError("even n required")
+    if not 2 <= n <= MAX_N or n % 2:
+        raise ValueError(f"even n in 2..{MAX_N} required")
     m, k = n, 0
     while m % 2 == 0:
         m //= 2

@@ -1,44 +1,32 @@
-"""Dense exact linear algebra over the rationals.
+"""Dense exact linear algebra on integer matrices.
 
-Everything here is fractions.Fraction end to end; floats are rejected at
-the boundary.  Matrices are lists of row lists.  Sizes stay small enough
-(a few hundred columns) that cubic elimination is acceptable; the one
-large rank computation in the package goes through a Gram matrix first,
-which lands back here as a small square instance.
+Every matrix here is a list of rows of Python ints; anything else is
+rejected at the boundary.  Elimination is fraction-free Gauss-Jordan
+(E. H. Bareiss, "Sylvester's identity and multistep integer-preserving
+Gaussian elimination", Math. Comp. 22, 1968): each entry stays an
+integer minor of the input, every division is exact, and the reduced
+form comes out as integer numerators over one common scale.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-from math import lcm
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from math import gcd
 
-Matrix = list[list[Fraction]]
-Vector = list[Fraction]
+Matrix = list[list[int]]
 
 
 @dataclass(frozen=True)
 class EchelonResult:
-    """Reduced column echelon form with its rank and pivot row indices
-    (strictly increasing, one per pivot column)."""
+    """Reduced column echelon form R of an integer matrix, held as
+    ``matrix == scale * R`` with integer entries and the least positive
+    scale that clears R's denominators, plus the rank and the pivot row
+    indices (strictly increasing, one per pivot column)."""
 
     matrix: Matrix
     rank: int
-    pivot_rows: list[int] = field(default_factory=list)
-
-
-def as_fraction(x) -> Fraction:
-    if isinstance(x, float):
-        raise TypeError("floats are not allowed in exact arithmetic")
-    return Fraction(x)
-
-
-def from_rows(rows: Iterable[Sequence]) -> Matrix:
-    out = [[as_fraction(x) for x in row] for row in rows]
-    if out and any(len(r) != len(out[0]) for r in out):
-        raise ValueError("ragged rows")
-    return out
+    pivot_rows: list[int]
+    scale: int
 
 
 def shape(a: Matrix) -> tuple[int, int]:
@@ -49,67 +37,73 @@ def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)] if a else []
 
 
-def mat_vec(a: Matrix, v: Vector) -> Vector:
+def mat_vec(a: Matrix, v: list[int]) -> list[int]:
     if a and len(v) != len(a[0]):
         raise ValueError("shape mismatch")
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
-def rref(a: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the pivot column indices.
+def _check(a: Matrix) -> None:
+    cols = len(a[0]) if a else 0
+    for row in a:
+        if len(row) != cols:
+            raise ValueError("ragged rows")
+        if any(type(x) is not int for x in row):
+            # a Fraction would floor-divide silently below
+            raise TypeError("entries must be Python ints")
 
+
+def _gauss_jordan(a: Matrix) -> tuple[Matrix, list[int], int]:
+    """Fraction-free Gauss-Jordan elimination.
+
+    Returns (m, pivots, d) with m == d * rref(a) and d the last pivot
+    (plus or minus the determinant of the pivot block, 1 if a has rank 0).
     Pivot choice is the first row with a nonzero entry in the current
-    column, which makes the routine deterministic; exact arithmetic has
-    no stability concern.
+    column, as in textbook rref, so the pivots are deterministic.
     """
-    m = [row[:] for row in a]
+    m = list(a)  # rows are replaced, never mutated
     rows, cols = shape(m)
     pivots: list[int] = []
+    d = 1
     r = 0
     for c in range(cols):
-        p = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if r == rows:
+            break
+        p = next((i for i in range(r, rows) if m[i][c]), None)
         if p is None:
             continue
         m[r], m[p] = m[p], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        prow = m[r]
+        pv = prow[c]
         for i in range(rows):
-            if i != r and m[i][c] != 0:
+            if i != r:
                 f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+                # exact: the quotient is a minor of a
+                m[i] = [(pv * x - f * y) // d for x, y in zip(m[i], prow)]
+        d = pv
         pivots.append(c)
         r += 1
-        if r == rows:
-            break
-    return m, pivots
+    return m, pivots, d
 
 
 def rcef(a: Matrix) -> EchelonResult:
-    """Reduced column echelon form.
-
-    Defined as the transpose of rref of the transpose, so it is the
-    canonical representative of the column space: pivot rows strictly
-    increase and each pivot row is a standard basis row.
-    """
-    r, pivots = rref(transpose(a))
-    return EchelonResult(matrix=transpose(r), rank=len(pivots), pivot_rows=pivots)
+    """Reduced column echelon form, the transpose of rref of the
+    transpose: the canonical representative of the column space, with
+    strictly increasing pivot rows, each a multiple of a standard basis
+    row."""
+    _check(a)
+    m, pivots, d = _gauss_jordan(transpose(a))
+    g = gcd(d, *(x for row in m for x in row))
+    sign = 1 if d > 0 else -1
+    scaled = [[x * sign // g for x in row] for row in m]
+    return EchelonResult(
+        matrix=transpose(scaled),
+        rank=len(pivots),
+        pivot_rows=pivots,
+        scale=abs(d) // g,
+    )
 
 
 def rank(a: Matrix) -> int:
-    return len(rref(a)[1])
-
-
-def common_denominator(a: Matrix) -> int:
-    """Positive lcm of all entry denominators (1 for an empty matrix)."""
-    return lcm(*(x.denominator for row in a for x in row)) if a and a[0] else 1
-
-
-def int_rows(a: Matrix, scale_by: int) -> list[list[int]]:
-    """Rows of scale_by * a as exact ints; raises if anything is non-integral."""
-    out = []
-    for row in a:
-        scaled = [x * scale_by for x in row]
-        if any(x.denominator != 1 for x in scaled):
-            raise ValueError("scaling does not clear denominators")
-        out.append([int(x) for x in scaled])
-    return out
+    _check(a)
+    return len(_gauss_jordan(a)[1])

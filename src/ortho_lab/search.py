@@ -9,9 +9,10 @@ the collapsed matrix pins each candidate's coordinates to its entries on
 the pivot rows, so candidates are exactly the 0/1 assignments x and the
 scan is exhaustive, not heuristic.
 
-The scan itself runs on a scaled integer copy of the echelon matrix in
-int64 (entry bounds are checked); survivors are re-verified in exact
-rational arithmetic before certification.
+The echelon matrix comes out of fraction-free elimination as integers
+over one scale.  It is checked against the product matrix, the scan runs
+on it in int64 (entry bounds are checked), and survivors are re-verified
+in exact integer arithmetic before certification.
 """
 
 from __future__ import annotations
@@ -37,44 +38,11 @@ from .graphs import (
 
 PIPELINE_DIMS = (8, 12, 16)
 
-_F1 = Fraction(1)
-_FM1 = Fraction(-1)
-
-
-def quotient_sign_matrix(n: int) -> ratmat.Matrix:
-    """Rows: canonical quotient vertices ascending; columns: 2-subsets in
-    lexicographic order; entry (-1)^(|A n p|).  Well defined on the
-    quotient because the sign is complement-invariant for even |p|."""
-    if n not in (4,) + PIPELINE_DIMS:
-        raise ValueError("sign matrix materialized for n in {4, 8, 12, 16}")
-    pairs = spectral.two_subset_masks(n)
-    return [
-        [_FM1 if (a & p).bit_count() & 1 else _F1 for p in pairs]
-        for a in y_vertices(n)
-    ]
-
-
-def neighbourhood_rows(n: int, base: int = 0) -> ratmat.Matrix:
-    """The sign-matrix rows of the base vertex's quotient neighbours, with
-    the all-ones column appended."""
-    if n not in (4,) + PIPELINE_DIMS:
-        raise ValueError("neighbourhood rows materialized for n in {4, 8, 12, 16}")
-    base = as_bits(base)
-    _require_canonical(base, n)
-    pairs = spectral.two_subset_masks(n)
-    return [
-        [_FM1 if (a & p).bit_count() & 1 else _F1 for p in pairs] + [_F1]
-        for a in y_neighbours_bits(base, n)
-    ]
-
-
 def incidence_matrix(n: int) -> ratmat.Matrix:
     """Vertex-edge incidence of the complete graph on [n], columns in the
     same 2-subset order as the sign matrices."""
     pairs = spectral.two_subset_masks(n)
-    return ratmat.from_rows(
-        [[1 if p >> v & 1 else 0 for p in pairs] for v in range(n)]
-    )
+    return [[1 if p >> v & 1 else 0 for p in pairs] for v in range(n)]
 
 
 def _require_canonical(bits: int, n: int) -> None:
@@ -98,12 +66,7 @@ def _product_rows(n: int, base: int) -> ratmat.Matrix:
     for a in y_vertices(n):
         r = a ^ base
         sm = spectral._sign_row_mask(r, pairs)
-        rows.append(
-            [
-                Fraction(n - 2 * (sm & vert_colmask[v]).bit_count())
-                for v in range(n)
-            ]
-        )
+        rows.append([n - 2 * (sm & vert_colmask[v]).bit_count() for v in range(n)])
     return rows
 
 
@@ -111,6 +74,7 @@ def _product_rows(n: int, base: int) -> ratmat.Matrix:
 class KernelReduction:
     n: int
     base: VertexWord
+    product: ratmat.Matrix
     echelon: ratmat.EchelonResult
     incidence_rank: int
     neighbourhood_rank: int
@@ -120,8 +84,11 @@ class KernelReduction:
 
 def kernel_reduce(n: int, base: int = 0) -> KernelReduction:
     """Run the rank bookkeeping and produce the echelon matrix that drives
-    enumeration.  Aborts if the echelon rank differs from n, since the
-    0/1-pinning argument needs exactly n pivot rows."""
+    enumeration.  Aborts unless the ledger closes (the extended incidence
+    matrix has rank n, the neighbourhood kernel has the same dimension,
+    and the neighbourhood rows of the product vanish, so the kernel is
+    exactly the incidence row space) and the echelon rank is n, since
+    the 0/1-pinning argument needs exactly n pivot rows."""
     if n not in PIPELINE_DIMS:
         raise ValueError("kernel reduction runs for n in {8, 12, 16}")
     base = as_bits(base)
@@ -129,7 +96,7 @@ def kernel_reduce(n: int, base: int = 0) -> KernelReduction:
     pairs = spectral.two_subset_masks(n)
     npairs = len(pairs)
 
-    inc_ext = [row + [_F1] for row in incidence_matrix(n)]
+    inc_ext = [row + [1] for row in incidence_matrix(n)]
     incidence_rank = ratmat.rank(inc_ext)
 
     # rank of the neighbourhood rows via their Gram matrix; exact because
@@ -137,14 +104,7 @@ def kernel_reduce(n: int, base: int = 0) -> KernelReduction:
     neigh = y_neighbours_bits(base, n)
     colsign = spectral._column_sign_masks(neigh, pairs)
     colsign.append(0)  # the all-ones column
-    rows = len(neigh)
-    gram = ratmat.from_rows(
-        [
-            [rows - 2 * (ci ^ cj).bit_count() for cj in colsign]
-            for ci in colsign
-        ]
-    )
-    neighbourhood_rank = ratmat.rank(gram)
+    neighbourhood_rank = ratmat.rank(spectral._sign_gram(colsign, len(neigh)))
     kernel_dim = (npairs + 1) - neighbourhood_rank
 
     # the neighbourhood rows of the collapsed matrix must vanish
@@ -154,6 +114,12 @@ def kernel_reduce(n: int, base: int = 0) -> KernelReduction:
     product_zero = all(
         all(x == 0 for x in product[pos[a]]) for a in neigh
     )
+    if not (incidence_rank == n and kernel_dim == incidence_rank and product_zero):
+        raise ArithmeticError(
+            f"rank ledger does not close: incidence rank {incidence_rank}, "
+            f"kernel dimension {kernel_dim}, neighbourhood product zero "
+            f"{product_zero}"
+        )
 
     echelon = ratmat.rcef(product)
     if echelon.rank != n:
@@ -163,6 +129,7 @@ def kernel_reduce(n: int, base: int = 0) -> KernelReduction:
     return KernelReduction(
         n=n,
         base=VertexWord(base, n),
+        product=product,
         echelon=echelon,
         incidence_rank=incidence_rank,
         neighbourhood_rank=neighbourhood_rank,
@@ -257,22 +224,34 @@ def _scan_01_candidates(cint: np.ndarray, scale: int, lo: int, hi: int) -> list[
 
 def _echelon_candidates(n: int, base: int) -> list[list[int]]:
     """The vertex sets of the 0/1-valued candidates for n in {8, 12, 16}:
-    an int64 scan of the scaled echelon matrix, then an exact rational
+    an int64 scan of the scaled echelon matrix C, once C has been checked
+    against the product matrix P it came from, then an exact integer
     re-check of every survivor."""
-    cmat = kernel_reduce(n, base).echelon.matrix
-    scale = ratmat.common_denominator(cmat)
-    cint_rows = ratmat.int_rows(cmat, scale)
+    red = kernel_reduce(n, base)
+    cint_rows, scale = red.echelon.matrix, red.echelon.scale
+    piv = red.echelon.pivot_rows
     # the int64 scan is exact only if no dot product can overflow
-    if max(sum(map(abs, row)) for row in cint_rows) >= 2**62:
+    row_bound = max(sum(map(abs, row)) for row in cint_rows)
+    if row_bound >= 2**62:
         raise ArithmeticError("echelon entries too large for an exact int64 scan")
+    # and so is the self-check C[piv] == scale*I, C @ P[piv] == scale*P
+    p_bound = max(abs(x) for row in red.product for x in row)
+    if max(row_bound, scale) * p_bound >= 2**62:
+        raise ArithmeticError("echelon self-check would overflow int64")
     cint = np.array(cint_rows, dtype=np.int64)
+    prod = np.array(red.product, dtype=np.int64)
+    if not (
+        np.array_equal(cint[piv], scale * np.eye(n, dtype=np.int64))
+        and np.array_equal(cint @ prod[piv], scale * prod)
+    ):
+        raise ArithmeticError("echelon matrix fails its check against the product rows")
     order = y_vertices(n)
     out = []
     for x in _scan_01_candidates(cint, scale, 0, 1 << n):
-        z = ratmat.mat_vec(cmat, [Fraction(x >> j & 1) for j in range(n)])
-        if any(e not in (0, 1) for e in z):
+        z = ratmat.mat_vec(cint_rows, [x >> j & 1 for j in range(n)])
+        if any(e not in (0, scale) for e in z):
             raise ArithmeticError(f"scan kept candidate {x}, which is not 0/1-valued")
-        out.append([order[i] for i, e in enumerate(z) if e == 1])
+        out.append([order[i] for i, e in enumerate(z) if e == scale])
     return out
 
 

@@ -93,23 +93,6 @@ def character_column(p_mask: int, vertices: Sequence[int]) -> list[int]:
     return [1 - 2 * ((a & p_mask).bit_count() & 1) for a in vertices]
 
 
-def character_basis(n: int) -> ratmat.Matrix:
-    """Sign matrix over all 2^n vertices whose columns span the
-    tau-eigenspace: one column per 2-subset, then one per (n-2)-subset
-    (ordered as complements of the 2-subset list).
-
-    For n = 4 the two blocks coincide setwise, so columns repeat; every
-    column is still an exact eigenvector.
-    """
-    if n not in (4, 8):
-        raise ValueError("basis materialized only for n in {4, 8}")
-    pairs = two_subset_masks(n)
-    masks = pairs + [p ^ full_mask(n) for p in pairs]
-    verts = range(1 << n)
-    cols = [character_column(p, verts) for p in masks]
-    return ratmat.from_rows(zip(*cols))
-
-
 # -- exact adjacency application ----------------------------------------------
 
 def wht(vec: Sequence) -> list:
@@ -310,6 +293,12 @@ def _column_sign_masks(words: Sequence[int], pairs: list[int]) -> list[int]:
     return colsign
 
 
+def _sign_gram(colsign: list[int], rows: int) -> list[list[int]]:
+    """Gram matrix of the +-1 columns given by their sign masks over
+    `rows` rows: a +-1 dot product is rows - 2*popcount(ci ^ cj)."""
+    return [[rows - 2 * (ci ^ cj).bit_count() for cj in colsign] for ci in colsign]
+
+
 def _vertex_column_masks(n: int, pairs: list[int]) -> list[int]:
     """One mask per element v of [n]: bit k set iff pair k contains v."""
     vert_colmask = []
@@ -422,39 +411,36 @@ def neighbourhood_gram_spectrum(n: int) -> GramSpectrumReport:
     pairs = two_subset_masks(n)
     npairs = len(pairs)
     neigh = _neighbourhood_words(n)
-    rows = len(neigh)
     colsign = _column_sign_masks(neigh, pairs)
     c0 = comb(n, half)
     c1 = c0 - 8 * comb(n - 3, half - 1)
     c2 = c0 - 16 * comb(n - 4, half - 1)
     identity_ok = True
     witness = None
-    gram = [[0] * npairs for _ in range(npairs)]
+    gram = _sign_gram(colsign, len(neigh))
     for i in range(npairs):
         for j in range(i, npairs):
-            got = rows - 2 * (colsign[i] ^ colsign[j]).bit_count()
-            gram[i][j] = gram[j][i] = got
             if i == j:
                 want = c0
             elif (pairs[i] & pairs[j]).bit_count() == 1:
                 want = c1
             else:
                 want = c2
-            if got != want:
+            if gram[i][j] != want:
                 identity_ok = False
-                witness = witness or ("entry", i, j, got, want)
+                witness = witness or ("entry", i, j, gram[i][j], want)
     lam1 = Fraction(n, 2 * (n - 1)) * c0
     lam2 = Fraction(n * (n - 2), (n - 1) * (n - 3)) * c0
     eigenvalues = (lam1, lam2, Fraction(0))
     expected_mult = (1, npairs - n, n - 1)
     mults = []
     for lam in eigenvalues:
-        shifted = ratmat.from_rows(
-            [
-                [gram[i][j] - (lam if i == j else 0) for j in range(npairs)]
-                for i in range(npairs)
-            ]
-        )
+        # q*G - p*I has the rank of G - (p/q)*I and stays integral
+        p, q = lam.numerator, lam.denominator
+        shifted = [
+            [q * x - (p if i == j else 0) for j, x in enumerate(row)]
+            for i, row in enumerate(gram)
+        ]
         mults.append(npairs - ratmat.rank(shifted))
     mult_ok = tuple(mults) == expected_mult and sum(mults) == npairs
     trace = sum(gram[i][i] for i in range(npairs))

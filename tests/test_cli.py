@@ -240,6 +240,39 @@ def test_verify_rejects_tampered_indset(tmp_path, capsys):
     assert "independent" in err
 
 
+@pytest.mark.parametrize("field", ("envelope-n", "base-n", "clique-vertex-n"))
+def test_verify_rejects_standalone_dimension_mismatch(tmp_path, capsys, field):
+    if field == "clique-vertex-n":
+        payload = certificates.clique_payload(colouring.sylvester_clique(3))
+        payload["vertices"][0]["n"] = 7
+        env = certificates.envelope("clique", 8, payload)
+    else:
+        cert = search.certify_indset(y_quotient(8), [0, 126])
+        payload = certificates.indset_payload(cert, VertexWord(0, 8))
+        env = certificates.envelope("indset", 8, payload)
+        if field == "envelope-n":
+            env["n"] = -3
+        else:
+            payload["base"]["n"] = 7
+    p = tmp_path / "cert.json"
+    p.write_text(certificates.dumps(env))
+    code, out, err = run_cli(["verify", str(p)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.count("FAIL:") == 1
+
+
+def test_verify_reports_several_problems_on_one_line(tmp_path, capsys):
+    path = tmp_path / "col.json"
+    run_cli(["colour", "--n", "4", "--out", str(path)], capsys)
+    env = json.loads(path.read_text())
+    env["payload"]["kind"]["n"] = 3  # fails the recheck and the envelope n
+    path.write_text(certificates.dumps(env))
+    code, _, err = run_cli(["verify", str(path)], capsys)
+    assert code == 1
+    assert err.count("FAIL:") == 1 and "; " in err
+
+
 def test_verify_rejects_tampered_colouring(tmp_path, capsys):
     path = tmp_path / "col.json"
     run_cli(["colour", "--n", "4", "--out", str(path)], capsys)
@@ -271,6 +304,12 @@ def test_verify_rejects_malformed_json(tmp_path, capsys):
     p.write_text("{\"kind\": \"bound\"}")
     code, _, err = run_cli(["verify", str(p)], capsys)
     assert code == 1
+    # nesting deeper than the parser's recursion limit
+    p.write_text("[" * 100000)
+    code, out, err = run_cli(["verify", str(p)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.count("FAIL:") == 1 and "Traceback" not in err
 
 
 def test_verify_rejects_search_with_added_wall_time(tmp_path, capsys):
@@ -310,6 +349,7 @@ RAW = "@raw@"
         (["psi", "--k", "3"], ("n",), "64"),
         (["families", "--n", "12", "--which", "m2k"], ("payload", "factor"), "3.0"),
         (["psi", "--k", "3"], ("payload", "rows", 0, "n"), "2.0"),
+        (["families", "--n", "8", "--which", "m2k"], ("n",), "1" + "0" * 300),
     ],
     ids=[
         "envelope-n-huge-float",
@@ -325,6 +365,7 @@ RAW = "@raw@"
         "psi-table-relabelled-n64",
         "family-factor-float",
         "psi-row-n-float",
+        "m2k-envelope-n-huge-int",
     ],
 )
 def test_verify_decodes_integers_strictly(tmp_path, capsys, argv, path, raw):

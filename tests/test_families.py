@@ -116,8 +116,10 @@ def test_m2k_bound_values():
     assert rep6.tight_bipartite
     assert rep6.doubling_bound == 32
 
-    with pytest.raises(ValueError):
-        families.m2k_bound(7)
+    assert families.m2k_bound(64).doubling_bound == 1 << 58
+    for bad in (7, 0, -2, 66, 10**300):
+        with pytest.raises(ValueError):
+            families.m2k_bound(bad)
 
 
 def test_family_reports_carry_quotient_kind():

@@ -1,6 +1,6 @@
 """Kernel reduction and the tight-independent-set enumeration."""
 
-from fractions import Fraction
+import dataclasses
 from math import comb
 
 import pytest
@@ -17,19 +17,6 @@ from ortho_lab.graphs import (
 
 # --- matrices -----------------------------------------------------------------
 
-def test_quotient_sign_matrix_shape_and_entries():
-    m = search.quotient_sign_matrix(8)
-    assert (len(m), len(m[0])) == (64, 28)
-    assert all(x in (-1, 1) for row in m for x in row)
-
-
-def test_neighbourhood_rows_shape():
-    m = search.neighbourhood_rows(8)
-    assert (len(m), len(m[0])) == (35, 29)
-    # appended ones column
-    assert all(row[-1] == 1 for row in m)
-
-
 def test_incidence_matrix_rank():
     # unsigned incidence of a complete graph: full rank (odd cycles exist)
     b = search.incidence_matrix(8)
@@ -45,6 +32,28 @@ def test_kernel_reduce_n8():
     assert red.neighbourhood_product_zero
     assert red.echelon.rank == 8
     assert list(red.echelon.pivot_rows) == [0, 1, 2, 3, 4, 8, 16, 32]
+    assert red.echelon.scale == 1
+
+
+def test_kernel_reduce_checks_its_rank_ledger(monkeypatch):
+    true_rank = ratmat.rank
+    monkeypatch.setattr(ratmat, "rank", lambda a: true_rank(a) - 1)
+    with pytest.raises(ArithmeticError):
+        search.kernel_reduce(8)
+
+
+def test_echelon_is_checked_against_the_product_rows(monkeypatch):
+    true_rcef = ratmat.rcef
+
+    def perturbed(a):
+        res = true_rcef(a)
+        bad = [row[:] for row in res.matrix]
+        bad[5][0] += 1  # row 5 is not a pivot row
+        return dataclasses.replace(res, matrix=bad)
+
+    monkeypatch.setattr(ratmat, "rcef", perturbed)
+    with pytest.raises(ArithmeticError):
+        search.enumerate_candidates(8)
 
 
 def test_kernel_reduce_rejects_degenerate_dimension():

@@ -89,16 +89,6 @@ def test_apply_adjacency_keeps_fractions_exact():
 
 # --- tau eigenspace -----------------------------------------------------------
 
-def test_character_basis_shapes():
-    m4 = spectral.character_basis(4)
-    assert (len(m4), len(m4[0])) == (16, 12)
-    m8 = spectral.character_basis(8)
-    assert (len(m8), len(m8[0])) == (256, 56)
-    assert all(x in (-1, 1) for row in m8 for x in row)
-    with pytest.raises(ValueError):
-        spectral.character_basis(12)
-
-
 def test_tau_eigenspace_column_exact():
     for n, cols in ((4, 12), (8, 56)):
         rep = spectral.verify_tau_eigenspace(n)
