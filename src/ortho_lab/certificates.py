@@ -28,8 +28,6 @@ MEMBER_LIMIT = 2048
 
 KINDS = (
     "bound",
-    "indset",
-    "clique",
     "colouring",
     "search",
     "family",
@@ -184,14 +182,6 @@ def indset_payload(cert: search_mod.IndSetCertificate, base: VertexWord) -> dict
     }
 
 
-def clique_payload(cert: colouring_mod.CliqueCertificate) -> dict:
-    return {
-        "n": cert.n,
-        "vertices": [vertex(v) for v in cert.vertices],
-        "size": big(cert.size),
-    }
-
-
 def colouring_payload(cert: colouring_mod.ColouringCertificate) -> dict:
     return {
         "kind": graph_kind(cert.kind),
@@ -294,7 +284,7 @@ def status_payload(report: colouring_mod.ChiStatusReport) -> dict:
     }
 
 
-# -- decoders used by the verifier ---------------------------------------------
+# -- the decoder used by the verifier ------------------------------------------
 
 def decode_colouring(payload: dict) -> colouring_mod.ColouringCertificate:
     kind = decode_kind(payload["kind"])
@@ -307,9 +297,3 @@ def decode_colouring(payload: dict) -> colouring_mod.ColouringCertificate:
         palette_size=strict_int(payload["palette_size"], "palette_size"),
     )
 
-
-def decode_clique(payload: dict) -> colouring_mod.CliqueCertificate:
-    verts = tuple(decode_vertex(v) for v in payload["vertices"])
-    return colouring_mod.CliqueCertificate(
-        n=strict_int(payload["n"], "n"), vertices=verts, size=len(verts)
-    )

@@ -1,10 +1,14 @@
 """Command-line interface.
 
-Every emitting subcommand prints one canonical JSON certificate to
-stdout (or to ``--out``); diagnostics go to stderr.  ``verify`` reads a
-certificate back, re-derives what it claims, and exits 0 only if the
-claims hold: exit code 1 means the certificate failed verification,
-exit code 2 means the invocation itself was malformed.
+Every emitting subcommand is one producer, ``options -> (kind, n,
+payload, notes)``: the payload goes out as one canonical JSON
+certificate on stdout (or to ``--out``) and the notes go to stderr.
+``verify`` reads a certificate back and exits 0 only if its claims hold:
+a derivable certificate is re-run through the producer of the command
+that emits it, with that command's options read back from the
+certificate, and must come out byte for byte the same; a colouring is a
+witness, decoded and rechecked.  Exit code 1 means the certificate failed
+verification, exit code 2 means the invocation itself was malformed.
 """
 
 from __future__ import annotations
@@ -19,182 +23,120 @@ from .graphs import omega, psi_stats, y_quotient
 
 SPECTRUM_DIMS = (4, 8, 12, 16)
 
-
-def _emit(env: dict, out: Optional[str]) -> None:
-    text = certificates.dumps(env)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {env['kind']} certificate to {out}", file=sys.stderr)
-    else:
-        sys.stdout.write(text)
+# (certificate kind, envelope n, payload, lines for stderr)
+Produced = tuple[str, int, dict, list[str]]
 
 
-def cmd_bound(args) -> int:
-    kind = y_quotient(args.n) if args.kind == "y" else omega(args.n)
-    report = spectral.ratio_bound(kind)
-    _emit(certificates.envelope("bound", args.n, certificates.bound_payload(report)), args.out)
-    return 0
+def produce_bound(opts: argparse.Namespace) -> Produced:
+    kind = y_quotient(opts.n) if opts.kind == "y" else omega(opts.n)
+    return "bound", opts.n, certificates.bound_payload(spectral.ratio_bound(kind)), []
 
 
-def _spectrum_sections(n: int):
-    bound = spectral.ratio_bound(omega(n))
-    identities = spectral.gram_identities(n) if n in (8, 12, 16) else None
-    gram = spectral.neighbourhood_gram_spectrum(n) if n in (8, 12, 16) else None
-    eigen = spectral.verify_tau_eigenspace(n) if n in (4, 8) else None
-    return bound, identities, gram, eigen
-
-
-def cmd_spectrum(args) -> int:
-    n = args.n
+def produce_spectrum(opts: argparse.Namespace) -> Produced:
+    n = opts.n
     if n not in SPECTRUM_DIMS:
         raise ValueError(f"spectrum supports n in {SPECTRUM_DIMS}")
-    payload = certificates.spectrum_payload(*_spectrum_sections(n))
-    _emit(certificates.envelope("bound", n, payload), args.out)
-    return 0
+    gram = n in (8, 12, 16)
+    payload = certificates.spectrum_payload(
+        spectral.ratio_bound(omega(n)),
+        spectral.gram_identities(n) if gram else None,
+        spectral.neighbourhood_gram_spectrum(n) if gram else None,
+        spectral.verify_tau_eigenspace(n) if n in (4, 8) else None,
+    )
+    return "bound", n, payload, []
 
 
-def cmd_search(args) -> int:
-    base = int(args.base, 16)
-    outcome = search.enumerate_candidates(args.n, base=base)
-    print(
+def produce_search(opts: argparse.Namespace) -> Produced:
+    outcome = search.enumerate_candidates(opts.n, base=int(opts.base, 16))
+    note = (
         f"scanned {outcome.candidates_total} candidates; "
-        f"{len(outcome.certificates)} certificate(s)",
-        file=sys.stderr,
+        f"{len(outcome.certificates)} certificate(s)"
     )
-    _emit(
-        certificates.envelope("search", args.n, certificates.search_payload(outcome)),
-        args.out,
-    )
-    return 0
+    return "search", opts.n, certificates.search_payload(outcome), [note]
 
 
-def cmd_colour(args) -> int:
-    if args.graph == "psi":
-        n = args.n
+def produce_colour(opts: argparse.Namespace) -> Produced:
+    n = opts.n
+    if opts.graph == "psi":
         if n < 1 or n & (n - 1):
             raise ValueError("the recursive graph needs n a power of two")
         cert = colouring.psi_colouring(n.bit_length() - 1)
     else:
-        cert = colouring.omega_colouring(args.n)
-    _emit(
-        certificates.envelope(
-            "colouring", args.n, certificates.colouring_payload(cert)
-        ),
-        args.out,
-    )
-    return 0
+        cert = colouring.omega_colouring(n)
+    return "colouring", n, certificates.colouring_payload(cert), []
 
 
-def cmd_families(args) -> int:
-    n = args.n
-    if args.which == "segment":
+def produce_families(opts: argparse.Namespace) -> Produced:
+    n = opts.n
+    if opts.which == "segment":
         report = families.initial_segment_family(n)
         symdiff = families.symdiff_transform_check(n)
         lift = families.lift_to_omega(report)
         payload = certificates.family_payload(report, symdiff=symdiff, lift=lift)
-    elif args.which == "odd":
+    elif opts.which == "odd":
         payload = certificates.family_payload(families.small_odd_family(n))
     else:
         payload = certificates.doubling_bound_payload(families.m2k_bound(n))
-    _emit(certificates.envelope("family", n, payload), args.out)
-    return 0
+    return "family", n, payload, []
 
 
-def cmd_psi(args) -> int:
-    rows = psi_stats(args.k)
-    payload = certificates.psi_table_payload(args.k, rows)
-    _emit(certificates.envelope("psi_table", 1 << args.k, payload), args.out)
-    return 0
+def produce_psi(opts: argparse.Namespace) -> Produced:
+    rows = psi_stats(opts.k)
+    return "psi_table", 1 << opts.k, certificates.psi_table_payload(opts.k, rows), []
 
 
-def cmd_status(args) -> int:
-    report = colouring.chi_status(args.n)
-    for line in report.chain:
+def produce_status(opts: argparse.Namespace) -> Produced:
+    report = colouring.chi_status(opts.n)
+    return "status", opts.n, certificates.status_payload(report), list(report.chain)
+
+
+def _run_producer(args) -> int:
+    kind, n, payload, notes = args.produce(args)
+    for line in notes:
         print(line, file=sys.stderr)
-    _emit(
-        certificates.envelope("status", args.n, certificates.status_payload(report)),
-        args.out,
-    )
+    text = certificates.dumps(certificates.envelope(kind, n, payload))
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        print(f"wrote {kind} certificate to {args.out}", file=sys.stderr)
+    else:
+        sys.stdout.write(text)
     return 0
 
 
 # -- verification --------------------------------------------------------------
 
-def _same(regen: dict, payload: dict) -> bool:
-    """Equal as canonical JSON, so 3.0 or true never passes for 3 or 1.
-    Needed where a payload holds fields that no strict decoder reads."""
-    return certificates.dumps(regen) == certificates.dumps(payload)
-
-
-def _regenerate_payload(kind: str, n: int, payload: dict) -> dict:
-    """Recompute the payload a well-formed certificate of this kind and
-    parameters would have."""
-    if kind == "bound":
-        if payload.get("report_type") == "spectral_identities":
-            return certificates.spectrum_payload(*_spectrum_sections(n))
-        gk = certificates.decode_kind(payload["kind"])
-        if gk.n != n:
-            raise ValueError("envelope dimension does not match payload")
-        return certificates.bound_payload(spectral.ratio_bound(gk))
-    if kind == "search":
-        base = certificates.decode_vertex(payload["base"])
-        outcome = search.enumerate_candidates(n, base=base.bits)
-        return certificates.search_payload(outcome)
-    if kind == "family":
+def _emitting_options(kind: str, n: int, payload: dict) -> argparse.Namespace:
+    """The options of the command that emits a derivable certificate,
+    read back from the certificate rather than from an argv, so a bad
+    value fails verification instead of exiting as a usage error."""
+    opts = argparse.Namespace(n=n)
+    if kind == "bound" and payload.get("report_type") == "spectral_identities":
+        opts.produce = produce_spectrum
+    elif kind == "bound":
+        opts.produce, opts.kind = produce_bound, payload["kind"]["family"]
+    elif kind == "search":
+        opts.produce, opts.base = produce_search, payload["base"]["bits"]
+    elif kind == "family":
+        opts.produce = produce_families
         if payload.get("report_type") == "doubling_bound":
-            return certificates.doubling_bound_payload(families.m2k_bound(n))
-        if payload.get("family") == "initial_segment":
-            report = families.initial_segment_family(n)
-            symdiff = (
-                families.symdiff_transform_check(n)
-                if payload.get("symdiff") is not None
-                else None
-            )
-            lift = (
-                families.lift_to_omega(report)
-                if payload.get("lift") is not None
-                else None
-            )
-            return certificates.family_payload(report, symdiff=symdiff, lift=lift)
-        return certificates.family_payload(families.small_odd_family(n))
-    if kind == "psi_table":
-        k = certificates.strict_int(payload["k"], "k")
-        rows = psi_stats(k)
-        if n != 1 << k:
-            raise ValueError("envelope dimension does not match payload")
-        return certificates.psi_table_payload(k, rows)
-    if kind == "status":
-        return certificates.status_payload(colouring.chi_status(n))
-    raise ValueError(f"no regeneration rule for kind {kind!r}")
+            opts.which = "m2k"
+        elif payload.get("family") == "initial_segment":
+            opts.which = "segment"
+        else:
+            opts.which = "odd"
+    elif kind == "psi_table":
+        opts.produce = produce_psi
+        opts.k = certificates.strict_int(payload["k"], "k")
+    else:
+        opts.produce = produce_status
+    return opts
 
 
-def _verify_validity(kind: str, n: int, payload: dict) -> list[str]:
-    """Structural kinds are checked directly instead of regenerated:
-    decode, recheck every claim, and re-encode to catch field tampering."""
-    problems = []
-    if kind == "indset":
-        gk = certificates.decode_kind(payload["kind"])
-        base = certificates.decode_vertex(payload["base"])
-        bits = [certificates.decode_vertex(v).bits for v in payload["vertices"]]
-        try:
-            cert = search.certify_indset(gk, bits, base=base.bits)
-        except ValueError as exc:
-            return [f"independent-set recheck failed: {exc}"]
-        regen = certificates.indset_payload(cert, base)
-        if not _same(regen, payload):
-            problems.append("stored fields disagree with recomputed certificate")
-        if not gk.n == base.n == n:
-            problems.append("envelope dimension does not match payload")
-    elif kind == "clique":
-        cert = certificates.decode_clique(payload)
-        if not colouring.verify_clique(cert):
-            problems.append("clique recheck failed")
-        elif certificates.clique_payload(cert) != payload:
-            problems.append("stored fields disagree with recomputed certificate")
-        if cert.n != n:
-            problems.append("envelope dimension does not match payload")
-    elif kind == "colouring":
+def _recheck(kind: str, n: int, payload: dict) -> list[str]:
+    if kind == "colouring":
+        # a witness: any proper colouring passes, so decode and recheck it
+        problems = []
         cert = certificates.decode_colouring(payload)
         if not colouring.verify_colouring(cert):
             problems.append("colouring recheck failed")
@@ -202,15 +144,18 @@ def _verify_validity(kind: str, n: int, payload: dict) -> list[str]:
             problems.append("stored fields disagree with recomputed certificate")
         if cert.kind.n != n:
             problems.append("envelope dimension does not match payload")
-    else:
-        raise ValueError(f"no validity rule for kind {kind!r}")
-    return problems
+        return problems
+    opts = _emitting_options(kind, n, payload)
+    regen_kind, regen_n, regen, _ = opts.produce(opts)
+    if (regen_kind, regen_n) != (kind, n):
+        return [f"the emitting command gives a {regen_kind} certificate for n={regen_n}"]
+    # canonical JSON, so 3.0 or true never passes for 3 or 1
+    if certificates.dumps(regen) != certificates.dumps(payload):
+        return ["stored payload disagrees with regenerated payload"]
+    return []
 
 
-VALIDITY_KINDS = ("indset", "clique", "colouring")
-
-
-def cmd_verify(args) -> int:
+def _run_verify(args) -> int:
     try:
         with open(args.certificate, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -223,13 +168,7 @@ def cmd_verify(args) -> int:
         print(f"FAIL: malformed certificate: {exc}", file=sys.stderr)
         return 1
     try:
-        if kind in VALIDITY_KINDS:
-            problems = _verify_validity(kind, n, payload)
-        else:
-            regen = _regenerate_payload(kind, n, payload)
-            problems = []
-            if not _same(regen, payload):
-                problems.append("stored payload disagrees with regenerated payload")
+        problems = _recheck(kind, n, payload)
     except (ValueError, KeyError, TypeError) as exc:
         print(f"FAIL: {kind} certificate could not be rechecked: {exc}", file=sys.stderr)
         return 1
@@ -242,8 +181,9 @@ def cmd_verify(args) -> int:
 
 # -- parser --------------------------------------------------------------------
 
-def _add_out(p) -> None:
+def _emits(p, produce) -> None:
     p.add_argument("--out", help="write the certificate to this file instead of stdout")
+    p.set_defaults(func=_run_producer, produce=produce)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -257,45 +197,38 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bound", help="eigenvalue ratio bound on independent sets")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--kind", choices=("omega", "y"), default="omega")
-    _add_out(p)
-    p.set_defaults(func=cmd_bound)
+    _emits(p, produce_bound)
 
     p = sub.add_parser("spectrum", help="eigenvalue and Gram-matrix identity report")
     p.add_argument("--n", type=int, required=True)
-    _add_out(p)
-    p.set_defaults(func=cmd_spectrum)
+    _emits(p, produce_spectrum)
 
     p = sub.add_parser("search", help="enumerate tight independent sets in the quotient")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--base", default="0", help="base vertex as hex (default 0)")
-    _add_out(p)
-    p.set_defaults(func=cmd_search)
+    _emits(p, produce_search)
 
     p = sub.add_parser("colour", help="produce and verify a proper colouring")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--graph", choices=("omega", "psi"), default="omega")
-    _add_out(p)
-    p.set_defaults(func=cmd_colour)
+    _emits(p, produce_colour)
 
     p = sub.add_parser("families", help="structured independent families and bounds")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--which", choices=("segment", "odd", "m2k"), required=True)
-    _add_out(p)
-    p.set_defaults(func=cmd_families)
+    _emits(p, produce_families)
 
     p = sub.add_parser("psi", help="recursive subgraph statistics table")
     p.add_argument("--k", type=int, required=True)
-    _add_out(p)
-    p.set_defaults(func=cmd_psi)
+    _emits(p, produce_psi)
 
     p = sub.add_parser("status", help="chromatic number status for one dimension")
     p.add_argument("--n", type=int, required=True)
-    _add_out(p)
-    p.set_defaults(func=cmd_status)
+    _emits(p, produce_status)
 
     p = sub.add_parser("verify", help="recheck a stored certificate")
     p.add_argument("certificate", help="path to a certificate JSON file")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=_run_verify)
 
     return parser
 

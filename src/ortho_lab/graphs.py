@@ -200,15 +200,6 @@ def y_canonical_bits(bits: int, n: int) -> int:
     return bits if not (bits & 1) else bits ^ full_mask(n)
 
 
-def y_canonical(v: VertexWord) -> VertexWord:
-    n = v.n
-    if n % 4 != 0:
-        raise ValueError("quotient vertices need n divisible by 4")
-    if v.weight % 2 != 0:
-        raise ValueError("quotient vertices have even weight")
-    return VertexWord(y_canonical_bits(v.bits, n), n)
-
-
 def is_y_canonical(v: VertexWord) -> bool:
     return v.n % 4 == 0 and v.weight % 2 == 0 and not (v.bits & 1)
 

@@ -5,7 +5,8 @@ rejected at the boundary.  Elimination is fraction-free Gauss-Jordan
 (E. H. Bareiss, "Sylvester's identity and multistep integer-preserving
 Gaussian elimination", Math. Comp. 22, 1968): each entry stays an
 integer minor of the input, every division is exact, and the reduced
-form comes out as integer numerators over one common scale.
+form comes out as integer numerators over one common scale.  The rank
+needs only the forward pass.
 """
 
 from __future__ import annotations
@@ -53,13 +54,16 @@ def _check(a: Matrix) -> None:
             raise TypeError("entries must be Python ints")
 
 
-def _gauss_jordan(a: Matrix) -> tuple[Matrix, list[int], int]:
+def _gauss_jordan(a: Matrix, forward: bool = False) -> tuple[Matrix, list[int], int]:
     """Fraction-free Gauss-Jordan elimination.
 
     Returns (m, pivots, d) with m == d * rref(a) and d the last pivot
     (plus or minus the determinant of the pivot block, 1 if a has rank 0).
     Pivot choice is the first row with a nonzero entry in the current
-    column, as in textbook rref, so the pivots are deterministic.
+    column, as in textbook rref, so the pivots are deterministic.  With
+    ``forward`` only the rows below each pivot are eliminated (Bareiss's
+    forward pass, whose divisions are exact too): the pivots are the
+    same, and m is an echelon form but not reduced.
     """
     m = list(a)  # rows are replaced, never mutated
     rows, cols = shape(m)
@@ -75,7 +79,7 @@ def _gauss_jordan(a: Matrix) -> tuple[Matrix, list[int], int]:
         m[r], m[p] = m[p], m[r]
         prow = m[r]
         pv = prow[c]
-        for i in range(rows):
+        for i in range(r + 1 if forward else 0, rows):
             if i != r:
                 f = m[i][c]
                 # exact: the quotient is a minor of a
@@ -106,4 +110,4 @@ def rcef(a: Matrix) -> EchelonResult:
 
 def rank(a: Matrix) -> int:
     _check(a)
-    return len(_gauss_jordan(a)[1])
+    return len(_gauss_jordan(a, forward=True)[1])

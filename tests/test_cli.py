@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 import ortho_lab
-from ortho_lab import certificates, cli, colouring, search
-from ortho_lab.graphs import VertexWord, y_quotient
+from ortho_lab import certificates, cli, colouring, search, spectral
+from ortho_lab.graphs import VertexWord, adjacent_bits, is_y_canonical, omega, y_quotient
 
 
 def run_cli(argv, capsys):
@@ -168,6 +168,12 @@ def test_status_subcommand(capsys):
 
 # --- verify -------------------------------------------------------------------
 
+def _subcommands():
+    parser = cli.build_parser()
+    (sub,) = (a for a in parser._actions if a.dest == "command")
+    return set(sub.choices)
+
+
 def test_verify_accepts_every_emitted_kind(tmp_path, capsys):
     cases = [
         ["bound", "--n", "8"],
@@ -180,6 +186,8 @@ def test_verify_accepts_every_emitted_kind(tmp_path, capsys):
         ["psi", "--k", "3"],
         ["status", "--n", "6"],
     ]
+    # a new emitting command needs a producer round trip here
+    assert {argv[0] for argv in cases} == _subcommands() - {"verify"}
     for i, argv in enumerate(cases):
         path = tmp_path / f"cert{i}.json"
         code, _, _ = run_cli(argv + ["--out", str(path)], capsys)
@@ -189,22 +197,48 @@ def test_verify_accepts_every_emitted_kind(tmp_path, capsys):
         assert out.startswith("OK")
 
 
-def test_verify_standalone_indset_and_clique(tmp_path, capsys):
-    cert = search.certify_indset(y_quotient(8), [0, 126])
-    env = certificates.envelope(
-        "indset", 8, certificates.indset_payload(cert, VertexWord(0, 8))
-    )
-    p = tmp_path / "indset.json"
-    p.write_text(certificates.dumps(env))
-    code, out, _ = run_cli(["verify", str(p)], capsys)
-    assert code == 0
+def verify_text(tmp_path, capsys, text):
+    """Exit code, stdout and stderr of ``verify`` on a file holding text."""
+    p = tmp_path / "cert.json"
+    p.write_text(text)
+    return run_cli(["verify", str(p)], capsys)
 
+
+def assert_one_fail(code, out, err):
+    assert code == 1
+    assert out == ""
+    assert err.count("FAIL:") == 1 and "Traceback" not in err
+
+
+def test_verify_rejects_standalone_kinds(tmp_path, capsys):
+    # no command emits a bare independent set or clique
+    cert = search.certify_indset(y_quotient(8), [0, 126])
+    indset = certificates.indset_payload(cert, VertexWord(0, 8))
     clique = colouring.sylvester_clique(3)
-    env = certificates.envelope("clique", 8, certificates.clique_payload(clique))
-    p2 = tmp_path / "clique.json"
-    p2.write_text(certificates.dumps(env))
-    code, out, _ = run_cli(["verify", str(p2)], capsys)
-    assert code == 0
+    clique_fields = {
+        "n": 8,
+        "vertices": [certificates.vertex(v) for v in clique.vertices],
+        "size": str(clique.size),
+    }
+    for kind, payload in (("indset", indset), ("clique", clique_fields)):
+        env = dict(certificates.envelope("search", 8, payload), kind=kind)
+        assert_one_fail(*verify_text(tmp_path, capsys, certificates.dumps(env)))
+    assert len(certificates.KINDS) == 6
+
+
+def test_verify_rejects_spectrum_no_command_emits(tmp_path, capsys):
+    payload = certificates.spectrum_payload(
+        spectral.ratio_bound(omega(20)), None, None, None
+    )
+    env = certificates.envelope("bound", 20, payload)
+    assert_one_fail(*verify_text(tmp_path, capsys, certificates.dumps(env)))
+
+
+def test_verify_rejects_segment_family_without_its_checks(tmp_path, capsys):
+    code, out, _ = run_cli(["families", "--n", "8", "--which", "segment"], capsys)
+    env = json.loads(out)
+    env["payload"]["symdiff"] = env["payload"]["lift"] = None
+    assert_one_fail(*verify_text(tmp_path, capsys, certificates.dumps(env)))
 
 
 def test_verify_rejects_tampered_bound(tmp_path, capsys):
@@ -218,48 +252,37 @@ def test_verify_rejects_tampered_bound(tmp_path, capsys):
     assert "FAIL" in err
 
 
-def test_verify_rejects_tampered_indset(tmp_path, capsys):
+def _search8_with_first_indset(capsys, change):
+    code, out, _ = run_cli(["search", "--n", "8"], capsys)
+    assert code == 0
+    env = json.loads(out)
+    change(env["payload"]["certificates"][0])
+    return certificates.dumps(env)
+
+
+def _swap_in_adjacent_word(indset):
     # claim an adjacent pair is independent
-    env = certificates.envelope(
-        "indset",
-        8,
-        {
-            "kind": {"family": "y", "n": 8},
-            "base": {"bits": "00", "n": 8},
-            "vertices": [{"bits": "00", "n": 8}, {"bits": "f0", "n": 8}],
-            "size": "2",
-            "contains_base": True,
-            "meets_ratio_bound": False,
-            "eigenspace_member": False,
-        },
+    first = int(indset["vertices"][0]["bits"], 16)
+    word = next(
+        w for w in range(256)
+        if is_y_canonical(VertexWord(w, 8)) and adjacent_bits(first, w, 8)
     )
-    p = tmp_path / "bad.json"
-    p.write_text(certificates.dumps(env))
-    code, _, err = run_cli(["verify", str(p)], capsys)
-    assert code == 1
-    assert "independent" in err
+    indset["vertices"][1] = certificates.vertex(VertexWord(word, 8))
 
 
-@pytest.mark.parametrize("field", ("envelope-n", "base-n", "clique-vertex-n"))
-def test_verify_rejects_standalone_dimension_mismatch(tmp_path, capsys, field):
-    if field == "clique-vertex-n":
-        payload = certificates.clique_payload(colouring.sylvester_clique(3))
-        payload["vertices"][0]["n"] = 7
-        env = certificates.envelope("clique", 8, payload)
-    else:
-        cert = search.certify_indset(y_quotient(8), [0, 126])
-        payload = certificates.indset_payload(cert, VertexWord(0, 8))
-        env = certificates.envelope("indset", 8, payload)
-        if field == "envelope-n":
-            env["n"] = -3
-        else:
-            payload["base"]["n"] = 7
-    p = tmp_path / "cert.json"
-    p.write_text(certificates.dumps(env))
-    code, out, err = run_cli(["verify", str(p)], capsys)
-    assert code == 1
-    assert out == ""
-    assert err.count("FAIL:") == 1
+def test_verify_rejects_tampered_indset(tmp_path, capsys):
+    text = _search8_with_first_indset(capsys, _swap_in_adjacent_word)
+    assert_one_fail(*verify_text(tmp_path, capsys, text))
+
+
+def test_verify_rejects_flag_flips_without_structure_damage(tmp_path, capsys):
+    for change in (
+        lambda c: c.update(eigenspace_member=False),
+        lambda c: c.update(contains_base=1),  # true, but not as a JSON boolean
+        lambda c: c["base"].update(n=7),
+    ):
+        text = _search8_with_first_indset(capsys, change)
+        assert_one_fail(*verify_text(tmp_path, capsys, text))
 
 
 def test_verify_reports_several_problems_on_one_line(tmp_path, capsys):
@@ -282,21 +305,6 @@ def test_verify_rejects_tampered_colouring(tmp_path, capsys):
     path.write_text(certificates.dumps(env))
     code, _, err = run_cli(["verify", str(path)], capsys)
     assert code == 1
-
-
-def test_verify_rejects_flag_flips_without_structure_damage(tmp_path, capsys):
-    cert = search.certify_indset(y_quotient(8), [0, 126])
-    for field, value in (
-        ("eigenspace_member", True),  # a two-set is nowhere near tight
-        ("contains_base", 1),  # true, but not as a JSON boolean
-    ):
-        payload = certificates.indset_payload(cert, VertexWord(0, 8))
-        payload[field] = value
-        env = certificates.envelope("indset", 8, payload)
-        p = tmp_path / "flip.json"
-        p.write_text(certificates.dumps(env))
-        code, _, err = run_cli(["verify", str(p)], capsys)
-        assert code == 1, field
 
 
 def test_verify_rejects_malformed_json(tmp_path, capsys):

@@ -1,13 +1,13 @@
 """Fuzzing ``verify``: every mutation of an emitted n = 4 or n = 8
 certificate gives exit 1, one ``FAIL:`` line and no traceback.
 
-Only emitted certificates are mutated: a standalone independent set or
-clique can turn into another true certificate under a one-digit change,
-while every emitted claim is either regenerated or exhaustive.  The
-envelope ``n`` is only ever set to a negative, zero, odd or
-at-least-2^63 value, so no mutation reaches the n = 16 search or a large
-family.  Examples are derandomized and bounded, so the run is the same
-every time.
+Every command's certificate is in the corpus.  A derivable one is
+re-run through the emitting command's producer and compared byte for
+byte, and a colouring must cover every vertex exactly once, so no single
+mutation turns one true certificate into another.  The envelope ``n`` is
+only ever set to a negative, zero, odd or at-least-2^63 value, so no
+mutation reaches the n = 16 search or a large family.  Examples are
+derandomized and bounded, so the run is the same every time.
 """
 
 import contextlib
