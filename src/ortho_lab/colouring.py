@@ -21,7 +21,6 @@ from .graphs import (
     GraphKind,
     VertexWord,
     adjacent_bits,
-    as_bits,
     full_mask,
     omega,
     psi,
@@ -70,14 +69,13 @@ def sylvester_clique(k: int) -> CliqueCertificate:
     return cert
 
 
-def translate_disjointness(s_vertices: Sequence, clique: CliqueCertificate) -> bool:
+def translate_disjointness(s_vertices: Sequence[int], clique: CliqueCertificate) -> bool:
     """True iff the |clique| translates of the set are pairwise disjoint.
     The set must be independent; that is a precondition, not a result."""
     n = clique.n
-    bits = [as_bits(v) for v in s_vertices]
-    if not search.check_independent(bits, omega(n)):
+    if not search.check_independent(s_vertices, omega(n)):
         raise ValueError("translate test needs an independent set")
-    base = set(bits)
+    base = set(s_vertices)
     for i, a in enumerate(clique.vertices):
         for b in clique.vertices[i + 1 :]:
             shift = a.bits ^ b.bits
@@ -109,8 +107,10 @@ def verify_colouring(cert: ColouringCertificate) -> bool:
             total += 1
     if cert.palette_size != len(cert.classes):
         return False
-    universe = spectral.vertex_order(kind)
-    if total != len(universe) or seen != set(universe):
+    # the closed-form count first, so a forged large n builds no universe
+    if total != 1 << (n - 2 if kind.family is Family.Y else n):
+        return False
+    if seen != set(spectral.vertex_order(kind)):
         return False
     if kind.family is Family.PSI:
         colour = {}
@@ -119,17 +119,19 @@ def verify_colouring(cert: ColouringCertificate) -> bool:
                 colour[v.bits] = ci
         return all(colour[u] != colour[v] for u, v in psi_edges(n))
     return all(
-        search.check_independent(cls, kind) for cls in cert.classes if cls
+        search.check_independent([v.bits for v in cls], kind)
+        for cls in cert.classes
+        if cls
     )
 
 
 def normal_cayley_colouring(
-    s_vertices: Sequence, clique: CliqueCertificate
+    s_vertices: Sequence[int], clique: CliqueCertificate
 ) -> ColouringCertificate:
     """Colour classes are the translates of the independent set by the
     clique members; sizes must multiply to the vertex count."""
     n = clique.n
-    bits = sorted(as_bits(v) for v in s_vertices)
+    bits = sorted(s_vertices)
     if len(bits) * clique.size != 1 << n:
         raise ValueError("set size times clique size must equal the vertex count")
     if not translate_disjointness(bits, clique):
@@ -179,9 +181,7 @@ def _psi_colour_map(n: int) -> tuple[dict[int, int], int]:
 
 def psi_colouring(k: int) -> ColouringCertificate:
     """Recursive colouring of the 2^k-dimensional recursive graph with
-    exactly 2^k colours, verified against its materialized edge stream.
-    For 2^k <= 4 the recursive graph equals the full graph and the
-    classes are additionally checked against full-graph adjacency."""
+    exactly 2^k colours, verified against its materialized edge stream."""
     if not 0 <= k <= 4:
         raise ValueError("materialized verification capped at k = 4")
     n = 1 << k
@@ -195,10 +195,6 @@ def psi_colouring(k: int) -> ColouringCertificate:
     cert = ColouringCertificate(kind=psi(n), classes=classes, palette_size=palette)
     if not verify_colouring(cert):
         raise AssertionError("recursive colouring failed edge verification")
-    if n <= 4:
-        for cls in classes:
-            if not search.check_independent(cls, omega(n)):
-                raise AssertionError("classes are not independent in the full graph")
     return cert
 
 
@@ -209,26 +205,19 @@ def _cached_search(n: int) -> search.SearchOutcome:
 
 def omega_colouring(n: int) -> ColouringCertificate:
     """A verified proper colouring of the full graph with the minimum
-    palette, for the dimensions where one is constructed exactly."""
-    if n == 1:
+    palette, for the dimensions where one is constructed exactly.  Up to
+    n = 4 the recursive graph is the whole graph, so its colouring is
+    relabelled and rechecked against full-graph adjacency."""
+    if n in (1, 2, 4):
+        inner = psi_colouring(n.bit_length() - 1)
         cert = ColouringCertificate(
-            kind=omega(1),
-            classes=((VertexWord(0, 1), VertexWord(1, 1)),),
-            palette_size=1,
-        )
-        if not verify_colouring(cert):
-            raise AssertionError("single-class colouring failed re-verification")
-        return cert
-    if n % 4 == 2:
-        return bipartite_colouring(n)
-    if n == 4:
-        inner = psi_colouring(2)
-        cert = ColouringCertificate(
-            kind=omega(4), classes=inner.classes, palette_size=inner.palette_size
+            kind=omega(n), classes=inner.classes, palette_size=inner.palette_size
         )
         if not verify_colouring(cert):
             raise AssertionError("recursive classes failed full-graph check")
         return cert
+    if n % 4 == 2:
+        return bipartite_colouring(n)
     if n == 8:
         outcome = _cached_search(8)
         first = outcome.certificates[0]  # deterministic: lowest candidate index

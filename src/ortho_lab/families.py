@@ -23,7 +23,6 @@ from .graphs import (
     GraphKind,
     VertexWord,
     adjacent_bits,
-    as_bits,
     full_mask,
     omega,
     y_canonical_bits,
@@ -182,38 +181,25 @@ def symdiff_transform_check(n: int) -> SymdiffReport:
     )
 
 
-def lift_members(members: Sequence, n: int) -> list[int]:
+def lift_members(members: Sequence[int], n: int) -> list[int]:
     """Expand quotient vertices to the full graph: both words of each
     pair, plus both translated by the first-coordinate flip (an odd word,
     so the translates land in the other parity component)."""
     mask = full_mask(n)
-    mlist = [as_bits(v) for v in members]
     out = set()
-    for x in mlist:
+    for x in members:
         out.update((x, x ^ mask, x ^ 1, x ^ mask ^ 1))
-    if len(out) != 4 * len(mlist):
+    if len(out) != 4 * len(members):
         raise ValueError("lift collided; input was not a set of quotient vertices")
     return sorted(out)
 
 
-def lift_to_omega(source, n: Optional[int] = None) -> search.IndSetCertificate:
-    """Certify the 4x lift of a quotient independent set in the full
-    graph.  Accepts a family report, a quotient certificate, or a bare
-    member list (then n is required)."""
-    if isinstance(source, FamilyReport):
-        if source.kind.family is not Family.Y:
-            raise ValueError("only quotient families lift")
-        members, n = source.members, source.n
-    elif isinstance(source, search.IndSetCertificate):
-        if source.kind.family is not Family.Y:
-            raise ValueError("only quotient certificates lift")
-        members, n = source.vertices, source.kind.n
-    else:
-        if n is None:
-            raise ValueError("n required for a bare member list")
-        members = list(source)
-    lifted = lift_members(members, n)
-    return search.certify_indset(omega(n), lifted)
+def lift_to_omega(report: FamilyReport) -> search.IndSetCertificate:
+    """Certify the 4x lift of a quotient family in the full graph."""
+    if report.kind.family is not Family.Y:
+        raise ValueError("only quotient families lift")
+    lifted = lift_members([v.bits for v in report.members], report.n)
+    return search.certify_indset(omega(report.n), lifted)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ from .graphs import (
     GraphKind,
     VertexWord,
     adjacent_bits,
-    as_bits,
     is_y_canonical,
     y_neighbours_bits,
     y_quotient,
@@ -46,7 +45,7 @@ def incidence_matrix(n: int) -> ratmat.Matrix:
 
 
 def _require_canonical(bits: int, n: int) -> None:
-    if not is_y_canonical(VertexWord(bits, n)):
+    if not (0 <= bits < 1 << n and is_y_canonical(bits, n)):
         raise ValueError(f"base 0x{bits:x} is not a canonical quotient vertex")
 
 
@@ -91,7 +90,6 @@ def kernel_reduce(n: int, base: int = 0) -> KernelReduction:
     the 0/1-pinning argument needs exactly n pivot rows."""
     if n not in PIPELINE_DIMS:
         raise ValueError("kernel reduction runs for n in {8, 12, 16}")
-    base = as_bits(base)
     _require_canonical(base, n)
     pairs = spectral.two_subset_masks(n)
     npairs = len(pairs)
@@ -160,29 +158,28 @@ class SearchOutcome:
     certificates: tuple[IndSetCertificate, ...]
 
 
-def check_independent(vertices: Sequence, kind: GraphKind) -> bool:
+def check_independent(vertices: Sequence[int], kind: GraphKind) -> bool:
     """Pairwise non-adjacency scan; duplicates are an input error, not a
     False result."""
     n = kind.n
-    bits = [as_bits(v) for v in vertices]
-    if len(set(bits)) != len(bits):
+    if len(set(vertices)) != len(vertices):
         raise ValueError("duplicate vertices")
-    for b in bits:
+    for b in vertices:
         if b >> n:
             raise ValueError(f"0x{b:x} out of range for n={n}")
         if kind.family is Family.Y:
             _require_canonical(b, n)
-    for i, u in enumerate(bits):
-        for v in bits[i + 1 :]:
+    for i, u in enumerate(vertices):
+        for v in vertices[i + 1 :]:
             if adjacent_bits(u, v, n):
                 return False
     return True
 
 
-def certify_indset(kind: GraphKind, vertices: Sequence, base: int = 0) -> IndSetCertificate:
+def certify_indset(kind: GraphKind, vertices: Sequence[int], base: int = 0) -> IndSetCertificate:
     """Build a certificate, verifying independence and recomputing the
     bound and eigenspace flags from scratch."""
-    bits = sorted(as_bits(v) for v in vertices)
+    bits = sorted(vertices)
     if not check_independent(bits, kind):
         raise ValueError("set is not independent")
     size = len(bits)
@@ -191,7 +188,7 @@ def certify_indset(kind: GraphKind, vertices: Sequence, base: int = 0) -> IndSet
         kind=kind,
         vertices=tuple(VertexWord(b, kind.n) for b in bits),
         size=size,
-        contains_base=as_bits(base) in set(bits),
+        contains_base=base in bits,
         meets_ratio_bound=size == bound,
         eigenspace_member=spectral.equality_condition_check(kind, bits),
     )
@@ -277,7 +274,6 @@ def enumerate_candidates(
     `jobs` is accepted for compatibility and ignored: the scan runs in
     one thread.  An empty certificate list is a result, not a failure.
     """
-    base = as_bits(base)
     if n == 4:
         survivors = _subset_candidates(n, base)
     elif n in PIPELINE_DIMS:
@@ -320,7 +316,6 @@ def exhaustive_tight_sets(n: int, base: int = 0) -> list[list[int]]:
     enumeration by a method that shares none of its machinery."""
     if n not in (4, 8):
         raise ValueError("backtracking oracle sized for n in {4, 8}")
-    base = as_bits(base)
     _require_canonical(base, n)
     bound = Fraction(1 << (n - 2), n)
     if bound.denominator != 1:

@@ -22,8 +22,8 @@ from . import ratmat
 from .graphs import (
     Family,
     GraphKind,
-    as_bits,
     full_mask,
+    omega,
     y_index_of,
     y_vertices,
     y_word_of_index,
@@ -95,8 +95,8 @@ def character_column(p_mask: int, vertices: Sequence[int]) -> list[int]:
 
 # -- exact adjacency application ----------------------------------------------
 
-def wht(vec: Sequence) -> list:
-    """In-place-style Walsh-Hadamard transform; exact on ints/Fractions.
+def wht(vec: Sequence[int]) -> list[int]:
+    """In-place-style Walsh-Hadamard transform; exact on ints.
     Unnormalized: applying twice multiplies by len(vec)."""
     v = list(vec)
     m = len(v)
@@ -133,7 +133,7 @@ def vertex_order(kind: GraphKind) -> list[int]:
     return list(range(1 << kind.n))
 
 
-def apply_adjacency(kind: GraphKind, vec: Sequence) -> list:
+def apply_adjacency(kind: GraphKind, vec: Sequence[int]) -> list[int]:
     """Exact A*vec via the Walsh transform, entries in vertex_order(kind)."""
     n = kind.n
     if n > 16:
@@ -153,16 +153,13 @@ def apply_adjacency(kind: GraphKind, vec: Sequence) -> list:
     return _cayley_apply(list(vec), conn)
 
 
-def _cayley_apply(vec: list, conn: list[int]) -> list:
+def _cayley_apply(vec: list[int], conn: list[int]) -> list[int]:
     m = len(vec)
     eig = wht(conn)
     hat = wht(vec)
     back = wht([e * x for e, x in zip(eig, hat)])
     out = []
     for x in back:
-        if isinstance(x, Fraction):
-            out.append(x / m)
-            continue
         q, r = divmod(x, m)
         if r:
             raise ArithmeticError("inverse transform not integral")
@@ -214,19 +211,16 @@ def verify_tau_eigenspace(n: int) -> TauEigenspaceReport:
     if tau.denominator != 1:
         raise ArithmeticError(f"least eigenvalue {tau} is not an integer")
     t = tau.numerator
-    diffs = _neighbourhood_words(n)
     pairs = two_subset_masks(n)
     masks = pairs + [p ^ full_mask(n) for p in pairs]
-    verts = range(1 << n)
     max_defect = 0
     failing = None
     for ci, p in enumerate(masks):
-        col = character_column(p, verts)
-        for a in verts:
-            defect = sum(col[a ^ d] for d in diffs) - t * col[a]
-            if defect:
-                if abs(defect) > max_defect:
-                    max_defect, failing = abs(defect), ci
+        col = character_column(p, range(1 << n))
+        applied = _apply_streaming(omega(n), col)
+        defect = max(abs(a - t * x) for a, x in zip(applied, col))
+        if defect > max_defect:
+            max_defect, failing = defect, ci
     return TauEigenspaceReport(
         n=n,
         tau=tau,
@@ -236,7 +230,7 @@ def verify_tau_eigenspace(n: int) -> TauEigenspaceReport:
     )
 
 
-def equality_condition_check(kind: GraphKind, members) -> bool:
+def equality_condition_check(kind: GraphKind, members: Sequence[int]) -> bool:
     """Exact ratio-bound equality test for a vertex set S with
     characteristic vector z: A(z - (s/v)1) == tau (z - (s/v)1).
 
@@ -246,16 +240,15 @@ def equality_condition_check(kind: GraphKind, members) -> bool:
     n = kind.n
     order = vertex_order(kind)
     pos = {w: k for k, w in enumerate(order)}
-    bits = [as_bits(m) for m in members]
-    if len(set(bits)) != len(bits):
+    if len(set(members)) != len(members):
         raise ValueError("duplicate members")
     z = [0] * len(order)
-    for b in bits:
+    for b in members:
         if b not in pos:
             raise ValueError(f"0x{b:x} is not a vertex of this graph")
         z[pos[b]] = 1
     v = len(order)
-    s = len(bits)
+    s = len(members)
     tau = least_eigenvalue(n)
     if kind.family is Family.Y:
         tau = tau / 2

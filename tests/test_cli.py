@@ -234,6 +234,19 @@ def test_verify_rejects_spectrum_no_command_emits(tmp_path, capsys):
     assert_one_fail(*verify_text(tmp_path, capsys, certificates.dumps(env)))
 
 
+def test_verify_rejects_tiny_forged_colouring_of_a_huge_graph(tmp_path, capsys):
+    # one class holding one vertex: the count is compared in closed form
+    # before the 2^n-word universe would be built
+    for family, n in (("omega", 48), ("omega", 64), ("psi", 64)):
+        payload = {
+            "kind": {"family": family, "n": n},
+            "palette_size": 1,
+            "classes": [[certificates.vertex(VertexWord(0, n))]],
+        }
+        env = certificates.envelope("colouring", n, payload)
+        assert_one_fail(*verify_text(tmp_path, capsys, certificates.dumps(env)))
+
+
 def test_verify_rejects_segment_family_without_its_checks(tmp_path, capsys):
     code, out, _ = run_cli(["families", "--n", "8", "--which", "segment"], capsys)
     env = json.loads(out)
@@ -265,7 +278,7 @@ def _swap_in_adjacent_word(indset):
     first = int(indset["vertices"][0]["bits"], 16)
     word = next(
         w for w in range(256)
-        if is_y_canonical(VertexWord(w, 8)) and adjacent_bits(first, w, 8)
+        if is_y_canonical(w, 8) and adjacent_bits(first, w, 8)
     )
     indset["vertices"][1] = certificates.vertex(VertexWord(word, 8))
 
@@ -402,6 +415,8 @@ def test_usage_errors_exit_2():
         ["colour", "--n", "3", "--graph", "psi"],
         ["spectrum", "--n", "20"],
         ["search", "--n", "8", "--jobs", "2"],
+        ["search", "--n", "8", "--base", "1ff"],
+        ["search", "--n", "8", "--base", "-2"],
     ):
         with pytest.raises(SystemExit) as exc:
             cli.run(argv)

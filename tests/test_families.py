@@ -83,20 +83,9 @@ def test_lift_to_omega_from_family_report():
     assert cert.meets_ratio_bound
 
 
-def test_lift_to_omega_from_certificate_and_list():
-    outcome = search.enumerate_candidates(8)
-    lifted = families.lift_to_omega(outcome.certificates[0])
-    assert lifted.size == 32
-    bare = families.lift_to_omega([0, 126], n=8)
-    assert bare.size == 8
-    with pytest.raises(ValueError):
-        families.lift_to_omega([0, 126])  # bare list needs n
-
-
 def test_lift_to_omega_rejects_full_graph_sources():
-    cert = search.certify_indset(omega(8), [0])
     with pytest.raises(ValueError):
-        families.lift_to_omega(cert)
+        families.lift_to_omega(families.small_odd_family(8))
 
 
 def test_m2k_bound_values():

@@ -12,7 +12,6 @@ from ortho_lab.graphs import (
     VertexWord,
     adjacent_bits,
     omega,
-    orthogonal,
     psi,
     y_quotient,
 )
@@ -27,19 +26,6 @@ def test_vertex_word_hex_round_trip():
     w = VertexWord(5, 12)
     assert w.hex() == "005"
     assert VertexWord.from_hex(w.hex(), 12) == w
-
-
-def test_vertex_word_subset_round_trip():
-    v = VertexWord.from_subset([1, 3, 8], 8)
-    assert v.bits == 0b10000101
-    assert v.to_subset() == (1, 3, 8)
-    assert v.weight == 3
-
-
-def test_vertex_word_complement_and_translate():
-    v = VertexWord(0b0011, 4)
-    assert v.complement().bits == 0b1100
-    assert v.translate(VertexWord(0b0101, 4)).bits == 0b0110
 
 
 def test_vertex_word_rejects_out_of_range():
@@ -61,13 +47,6 @@ def test_graph_kind_validation():
 
 
 # --- adjacency ----------------------------------------------------------------
-
-def test_orthogonal_known_pairs():
-    a = VertexWord(0b0000, 4)
-    assert orthogonal(a, VertexWord(0b0011, 4))
-    assert not orthogonal(a, VertexWord(0b0111, 4))
-    assert not orthogonal(a, a)
-
 
 def test_odd_dimension_has_no_edges():
     for n in (3, 5, 7):
@@ -92,42 +71,6 @@ def test_adjacency_is_translation_invariant():
         assert adjacent_bits(u, v, n) == adjacent_bits(u ^ t, v ^ t, n)
 
 
-# --- structure reports --------------------------------------------------------
-
-def test_structure_report_full_graph():
-    s4 = graphs.structure_report(omega(4))
-    assert (s4.vertex_count, s4.edge_count, s4.degree) == (16, 48, 6)
-    s8 = graphs.structure_report(omega(8))
-    assert (s8.vertex_count, s8.edge_count, s8.degree) == (256, 8960, 70)
-    assert s8.component_count == 2
-    s16 = graphs.structure_report(omega(16))
-    assert s16.edge_count == 421724160
-
-
-def test_structure_report_parity_classes():
-    assert (
-        graphs.structure_report(omega(6)).parity_class
-        is graphs.ParityClass.BIPARTITE
-    )
-    assert graphs.structure_report(omega(6)).component_count == 1
-    s5 = graphs.structure_report(omega(5))
-    assert s5.edge_count == 0 and s5.component_count == 32
-
-
-def test_structure_report_quotient():
-    sy = graphs.structure_report(y_quotient(8))
-    assert (sy.vertex_count, sy.degree, sy.component_count) == (64, 35, 1)
-    assert sy.edge_count == 64 * 35 // 2
-    assert graphs.structure_report(y_quotient(16)).degree == 6435
-
-
-def test_structure_report_recursive():
-    s = graphs.structure_report(psi(8))
-    assert s.vertex_count == 256 and s.edge_count == 2816
-    assert s.component_count == 8
-    assert graphs.structure_report(psi(16)).edge_count == 9109504
-
-
 def test_bipartite_parity_has_no_intra_class_edge():
     n = 6
     evens = [w for w in range(1 << n) if w.bit_count() % 2 == 0]
@@ -148,13 +91,17 @@ def test_y_canonical_picks_one_per_antipodal_pair():
         assert c == graphs.y_canonical_bits(w ^ mask, n)
         assert c in (w, w ^ mask)
         assert c.bit_count() % 2 == 0 and not (c & 1)
+    # the quotient is well defined: a word and its complement have the
+    # same neighbours, so adjacency does not depend on the representative
+    for w in range(1 << n):
+        assert adjacent_bits(0, w, n) == adjacent_bits(0, w ^ mask, n)
 
 
 def test_y_vertices_count_and_canonicity():
     for n in (4, 8, 12):
         vs = graphs.y_vertices(n)
         assert len(vs) == 1 << (n - 2)
-        assert all(graphs.is_y_canonical(VertexWord(v, n)) for v in vs)
+        assert all(graphs.is_y_canonical(v, n) for v in vs)
         assert vs == sorted(vs)
 
 
@@ -162,21 +109,14 @@ def test_y_index_bijection():
     for n in (4, 8):
         for i in range(1 << (n - 2)):
             w = graphs.y_word_of_index(i, n)
-            assert graphs.is_y_canonical(VertexWord(w, n))
+            assert graphs.is_y_canonical(w, n)
             assert graphs.y_index_of(w, n) == i
-
-
-def test_y_adjacent_requires_canonical_words():
-    with pytest.raises(ValueError):
-        graphs.y_adjacent(VertexWord(1, 8), VertexWord(0, 8))
-    # quotient edge: joined if either lift is orthogonal
-    assert graphs.y_adjacent(VertexWord(0, 8), VertexWord(0b11110000, 8))
 
 
 def test_y_neighbours_are_canonical_and_counted():
     nb = graphs.y_neighbours_bits(0, 8)
     assert len(nb) == 35
-    assert all(graphs.is_y_canonical(VertexWord(b, 8)) for b in nb)
+    assert all(graphs.is_y_canonical(b, 8) for b in nb)
     assert nb == sorted(nb)
 
 
@@ -184,28 +124,11 @@ def test_y_quotient_of_4_is_complete():
     vs = graphs.y_vertices(4)
     assert vs == [0, 6, 10, 12]
     assert all(
-        graphs.y_adjacent(VertexWord(u, 4), VertexWord(v, 4))
+        adjacent_bits(u, v, 4)
         for u in vs
         for v in vs
         if u != v
     )
-
-
-# --- antipodal and double-cover structure -------------------------------------
-
-def test_antipodal_structure_all_small_dimensions():
-    for n in range(1, 13):
-        rep = graphs.antipodal_structure_check(n)
-        assert rep.ok, (n, rep.witness)
-
-
-def test_double_cover_partition():
-    for n in (2, 4, 6, 8):
-        rep = graphs.double_cover_partition(n)
-        assert rep.partition_ok
-        assert rep.copies_isomorphic
-        assert rep.joins_complete
-        assert rep.copies == 1 << (n - 1)
 
 
 # --- recursive graph ----------------------------------------------------------
@@ -225,11 +148,6 @@ def test_psi_edge_counts_frozen():
         2816,
         9109504,
     ]
-
-
-def test_psi_degree_handshake():
-    for n in (2, 4, 8, 16):
-        assert (1 << n) * graphs.psi_degree(n) == 2 * graphs.psi_edge_count(n)
 
 
 def test_psi_edges_are_real_edges_at_n_4():

@@ -78,15 +78,6 @@ def test_adjacency_strategies_agree_on_random_vectors():
             assert fast == slow
 
 
-def test_apply_adjacency_keeps_fractions_exact():
-    kind = omega(4)
-    vec = [Fraction(i, 3) for i in range(16)]
-    fast = spectral.apply_adjacency(kind, vec)
-    slow = spectral._apply_streaming(kind, vec)
-    assert fast == slow
-    assert all(isinstance(x, Fraction) for x in fast)
-
-
 # --- tau eigenspace -----------------------------------------------------------
 
 def test_tau_eigenspace_column_exact():
