@@ -21,10 +21,12 @@ from .graphs import (
     GraphKind,
     VertexWord,
     adjacent_bits,
+    double_word,
     full_mask,
     omega,
     psi,
     psi_edges,
+    y_quotient,
 )
 
 
@@ -92,14 +94,20 @@ class ColouringCertificate:
 
 
 def verify_colouring(cert: ColouringCertificate) -> bool:
-    """Recheck the partition and every class from scratch.  For the
-    recursive graph the class check walks the materialized edge stream;
-    otherwise each class gets a pairwise non-adjacency scan."""
+    """Recheck the partition and every class from scratch.  Only the
+    graphs `colour` emits colourings of, the full graph and the recursive
+    graph, are accepted, and every colour in the palette must be used.
+    For the recursive graph the classes are checked by the doubling
+    recursion; otherwise each class gets a pairwise non-adjacency scan."""
     kind = cert.kind
     n = kind.n
+    if kind.family is Family.Y:
+        return False
     seen: set[int] = set()
     total = 0
     for cls in cert.classes:
+        if not cls:
+            return False
         for v in cls:
             if v.n != n:
                 return False
@@ -108,21 +116,43 @@ def verify_colouring(cert: ColouringCertificate) -> bool:
     if cert.palette_size != len(cert.classes):
         return False
     # the closed-form count first, so a forged large n builds no universe
-    if total != 1 << (n - 2 if kind.family is Family.Y else n):
+    if total != 1 << n:
         return False
     if seen != set(spectral.vertex_order(kind)):
         return False
     if kind.family is Family.PSI:
-        colour = {}
+        # the partition checks above give every word a colour
+        colour = [0] * (1 << n)
         for ci, cls in enumerate(cert.classes):
             for v in cls:
                 colour[v.bits] = ci
-        return all(colour[u] != colour[v] for u, v in psi_edges(n))
+        return _psi_proper(colour, n, list(psi_edges(min(n, 4))))
     return all(
         search.check_independent([v.bits for v in cls], kind)
         for cls in cert.classes
-        if cls
     )
+
+
+def _psi_proper(colour: list[int], n: int, base_edges: list[tuple[int, int]]) -> bool:
+    """True iff no edge of the recursive graph on n-bit words joins two
+    words of the same colour, where colour is indexed by word.
+
+    With n = 2m, the word double_word(x, r, m) lies in copy r.  The edges
+    are a copy of the dimension-m graph's edges inside every copy r, plus
+    a complete join between copy r and copy r-bar for each even r, so the
+    colouring is proper iff each such pair of copies uses disjoint colour
+    sets and each copy's colouring is proper one level down.  The
+    recursion bottoms out at n <= 4 on the streamed edges base_edges."""
+    if n <= 4:
+        return all(colour[u] != colour[v] for u, v in base_edges)
+    m = n // 2
+    mask = full_mask(m)
+    copies = [
+        [colour[double_word(x, r, m)] for x in range(1 << m)] for r in range(1 << m)
+    ]
+    return all(
+        set(copies[r]).isdisjoint(copies[r ^ mask]) for r in range(0, 1 << m, 2)
+    ) and all(_psi_proper(c, m, base_edges) for c in copies)
 
 
 def normal_cayley_colouring(
@@ -163,38 +193,37 @@ def bipartite_colouring(n: int) -> ColouringCertificate:
     return cert
 
 
-def _psi_colour_map(n: int) -> tuple[dict[int, int], int]:
+def _psi_colour_map(n: int) -> tuple[list[int], int]:
     if n == 1:
-        return {0: 0, 1: 0}, 1
+        return [0, 0], 1
     m = n // 2
     inner, palette = _psi_colour_map(m)
     mask = full_mask(m)
-    out = {}
+    out = []
     for w in range(1 << n):
         x = w & mask
         r = x ^ (w >> m)
         # the two sides of a copy pair differ in the lsb of r and are
         # completely joined, so they get disjoint half-palettes
-        out[w] = inner[x] + (palette if r & 1 else 0)
+        out.append(inner[x] + (palette if r & 1 else 0))
     return out, 2 * palette
 
 
 def psi_colouring(k: int) -> ColouringCertificate:
     """Recursive colouring of the 2^k-dimensional recursive graph with
-    exactly 2^k colours, verified against its materialized edge stream."""
+    exactly 2^k colours, verified by the doubling check."""
     if not 0 <= k <= 4:
-        raise ValueError("materialized verification capped at k = 4")
+        raise ValueError("materialized colourings capped at k = 4")
     n = 1 << k
     cmap, palette = _psi_colour_map(n)
-    classes = tuple(
-        tuple(VertexWord(w, n) for w in sorted(ws))
-        for ws in (
-            [w for w in range(1 << n) if cmap[w] == c] for c in range(palette)
-        )
-    )
+    # words go in ascending, so each class comes out sorted
+    buckets: list[list[VertexWord]] = [[] for _ in range(palette)]
+    for w, c in enumerate(cmap):
+        buckets[c].append(VertexWord(w, n))
+    classes = tuple(map(tuple, buckets))
     cert = ColouringCertificate(kind=psi(n), classes=classes, palette_size=palette)
     if not verify_colouring(cert):
-        raise AssertionError("recursive colouring failed edge verification")
+        raise AssertionError("recursive colouring failed the doubling check")
     return cert
 
 
@@ -319,15 +348,30 @@ def chi_status(n: int) -> ChiStatusReport:
             f"the doubling partition, to one of size 2^{m // 2}/{m // 2} at dimension {m // 2}"
         )
         m //= 2
-    outcome = _cached_search(16)
+    outcome = _cached_search(m)
+    bound = spectral.ratio_bound(y_quotient(m)).bound
+    # no set meets the ratio bound, so the quotient misses it by at least one
+    quotient_alpha = bound - 1
+    # two parity components, each covering the quotient twice (antipodal pairs)
+    graph_alpha = 4 * quotient_alpha
+    # pigeonhole: m colours on 2^m vertices leave some class this large
+    class_size = (1 << m) // m
+    if not (
+        bound.denominator == 1
+        and outcome.count_independent == 0
+        and outcome.count_containing_base == 0
+        and graph_alpha < class_size
+    ):
+        raise AssertionError(f"the dimension-{m} search does not rule out a {m}-colouring")
     chain.extend(
         (
-            f"the dimension-16 quotient search scanned all {outcome.candidates_total} kernel "
-            f"candidates and certified {outcome.count_independent} independent sets of size 1024",
-            "so the quotient's independence number is at most 1023 and the graph's is at most 4092",
-            "a proper 16-colouring of 65536 vertices would need a class of at least 4096",
-            f"chromatic number exceeds {n}" if n == 16 else
-            f"the dimension-16 obstruction propagates back up: chromatic number exceeds {n}",
+            f"the dimension-{m} quotient search scanned all {outcome.candidates_total} kernel "
+            f"candidates and certified {outcome.count_independent} independent sets of size {bound}",
+            f"so the quotient's independence number is at most {quotient_alpha} "
+            f"and the graph's is at most {graph_alpha}",
+            f"a proper {m}-colouring of {1 << m} vertices would need a class of at least {class_size}",
+            f"chromatic number exceeds {n}" if n == m else
+            f"the dimension-{m} obstruction propagates back up: chromatic number exceeds {n}",
         )
     )
     return ChiStatusReport(n, Verdict.GREATER_THAN_N, tuple(chain), None)

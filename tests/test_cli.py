@@ -1,5 +1,6 @@
 """Command-line behaviour: canonical output, verification, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -234,17 +235,33 @@ def test_verify_rejects_spectrum_no_command_emits(tmp_path, capsys):
     assert_one_fail(*verify_text(tmp_path, capsys, certificates.dumps(env)))
 
 
+def _colouring_envelope(family, n, classes, palette_size):
+    payload = {
+        "kind": {"family": family, "n": n},
+        "palette_size": palette_size,
+        "classes": [[certificates.vertex(VertexWord(w, n)) for w in cls] for cls in classes],
+    }
+    return certificates.dumps(certificates.envelope("colouring", n, payload))
+
+
 def test_verify_rejects_tiny_forged_colouring_of_a_huge_graph(tmp_path, capsys):
     # one class holding one vertex: the count is compared in closed form
     # before the 2^n-word universe would be built
     for family, n in (("omega", 48), ("omega", 64), ("psi", 64)):
-        payload = {
-            "kind": {"family": family, "n": n},
-            "palette_size": 1,
-            "classes": [[certificates.vertex(VertexWord(0, n))]],
-        }
-        env = certificates.envelope("colouring", n, payload)
-        assert_one_fail(*verify_text(tmp_path, capsys, certificates.dumps(env)))
+        text = _colouring_envelope(family, n, [[0]], 1)
+        assert_one_fail(*verify_text(tmp_path, capsys, text))
+
+
+def test_verify_rejects_colouring_of_the_quotient(tmp_path, capsys):
+    # a proper colouring of the 4-vertex quotient, which no command emits
+    text = _colouring_envelope("y", 4, [[0x0], [0x6], [0xA], [0xC]], 4)
+    assert_one_fail(*verify_text(tmp_path, capsys, text))
+
+
+def test_verify_rejects_empty_colour_class(tmp_path, capsys):
+    # an unused colour would inflate the palette size
+    text = _colouring_envelope("omega", 1, [[0, 1], []], 2)
+    assert_one_fail(*verify_text(tmp_path, capsys, text))
 
 
 def test_verify_rejects_segment_family_without_its_checks(tmp_path, capsys):
@@ -348,6 +365,16 @@ def test_search_certificate_bytes_are_reproducible():
     first, second = (run_module(["search", "--n", "8"]) for _ in range(2))
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
+
+
+def test_psi_colouring_16_certificate_bytes_are_pinned(tmp_path, capsys):
+    path = tmp_path / "psi16.json"
+    code, _, _ = run_cli(["colour", "--n", "16", "--graph", "psi", "--out", str(path)], capsys)
+    assert code == 0
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "0bf1dd1052adaca72a46a8fe8fc51d17f892815874605ca813e23b2ababd9191"
+    code, out, _ = run_cli(["verify", str(path)], capsys)
+    assert code == 0 and out.startswith("OK")
 
 
 # placeholder swapped for raw JSON text, since json.dumps cannot write 1e400

@@ -1,10 +1,20 @@
 """Cliques, translate colourings, and the chromatic-number verdicts."""
 
+import dataclasses
+import random
+
 import pytest
 
 from ortho_lab import colouring, families, search
 from ortho_lab.colouring import Verdict
-from ortho_lab.graphs import VertexWord, adjacent_bits, omega, psi
+from ortho_lab.graphs import (
+    VertexWord,
+    adjacent_bits,
+    double_word,
+    omega,
+    psi,
+    psi_edges,
+)
 
 
 # --- cliques ------------------------------------------------------------------
@@ -77,6 +87,75 @@ def test_psi_colouring_small_orders():
         assert colouring.verify_colouring(cert)
 
 
+def _psi_certificate(colour, words):
+    """A colouring certificate of the recursive graph from one colour per
+    word; unused colours are dropped, so no class is empty."""
+    used = sorted(set(colour))
+    index = {c: i for i, c in enumerate(used)}
+    classes = [[] for _ in used]
+    for w, c in enumerate(colour):
+        classes[index[c]].append(words[w])
+    n = words[0].n
+    return colouring.ColouringCertificate(
+        kind=psi(n), classes=tuple(map(tuple, classes)), palette_size=len(used)
+    )
+
+
+def _colour_list(cert):
+    colour = [0] * sum(map(len, cert.classes))
+    for ci, cls in enumerate(cert.classes):
+        for v in cls:
+            colour[v.bits] = ci
+    return colour
+
+
+def test_doubling_check_matches_the_edge_stream():
+    # the streamed edges are the slow exact oracle for the doubling check
+    rng = random.Random(6)
+    outcomes = set()
+    for k in (1, 2, 3):
+        n = 1 << k
+        words = [VertexWord(w, n) for w in range(1 << n)]
+        edges = list(psi_edges(n))
+        real = _colour_list(colouring.psi_colouring(k))
+        palette = list(range(n))
+        rng.shuffle(palette)
+        colourings = [[palette[c] for c in real]]
+        for w in range(1 << n):
+            for c in range(n):
+                if c != real[w]:
+                    colourings.append(real[:w] + [c] + real[w + 1 :])
+        for _ in range(100):
+            p = rng.randint(1, n)
+            colourings.append([rng.randrange(p) for _ in range(1 << n)])
+        for colour in colourings:
+            proper = all(colour[u] != colour[v] for u, v in edges)
+            assert colouring.verify_colouring(_psi_certificate(colour, words)) is proper
+            outcomes.add(proper)
+    assert outcomes == {True, False}
+
+
+def test_doubling_check_rejects_recoloured_psi_16():
+    rng = random.Random(16)
+    words = [VertexWord(w, 16) for w in range(1 << 16)]
+    real = _colour_list(colouring.psi_colouring(4))
+    assert colouring.verify_colouring(_psi_certificate(real, words))
+    inner = list(psi_edges(8))
+    for i in range(5):
+        x, r = rng.randrange(256), rng.randrange(256)
+        if i % 2:
+            # across the complete join between copies r and r-bar
+            w, u = double_word(x, r, 8), double_word(rng.randrange(256), r ^ 0xFF, 8)
+        else:
+            # along an edge of the dimension-8 graph inside copy r
+            a, b = rng.choice(inner)
+            w, u = double_word(a, r, 8), double_word(b, r, 8)
+        assert adjacent_bits(w, u, 16)
+        colour = list(real)
+        colour[w] = colour[u]
+        assert not colouring.verify_colouring(_psi_certificate(colour, words))
+
+
 def test_omega_colouring_dimensions():
     assert colouring.omega_colouring(1).palette_size == 1
     assert colouring.omega_colouring(6).palette_size == 2
@@ -109,11 +188,7 @@ def test_verify_colouring_rejects_merged_classes():
 
 
 def test_colouring_classes_really_avoid_all_edges():
-    cert = colouring.omega_colouring(8)
-    colour = {}
-    for ci, cls in enumerate(cert.classes):
-        for v in cls:
-            colour[v.bits] = ci
+    colour = _colour_list(colouring.omega_colouring(8))
     bad = sum(
         1
         for u in range(256)
@@ -155,6 +230,14 @@ def test_chi_status_16_cites_the_exhausted_search():
     joined = " ".join(rep.chain)
     assert "65536" in joined
     assert "4092" in joined and "4096" in joined
+
+
+def test_chi_status_16_needs_an_empty_search(monkeypatch):
+    outcome = colouring._cached_search(16)
+    tight = dataclasses.replace(outcome, count_independent=1, count_containing_base=1)
+    monkeypatch.setattr(colouring, "_cached_search", lambda n: tight)
+    with pytest.raises(AssertionError):
+        colouring.chi_status(16)
 
 
 def test_chi_status_64_descends_to_16():

@@ -32,6 +32,7 @@ EMIT = [
     ["search", "--n", "8"],
     ["colour", "--n", "4"],
     ["colour", "--n", "8"],
+    ["colour", "--n", "4", "--graph", "psi"],
     ["colour", "--n", "8", "--graph", "psi"],
     ["families", "--n", "8", "--which", "segment"],
     ["families", "--n", "8", "--which", "odd"],
