@@ -1,12 +1,22 @@
 """Dense exact linear algebra on integer matrices.
 
 Every matrix here is a list of rows of Python ints; anything else is
-rejected at the boundary.  Elimination is fraction-free Gauss-Jordan
-(E. H. Bareiss, "Sylvester's identity and multistep integer-preserving
-Gaussian elimination", Math. Comp. 22, 1968): each entry stays an
-integer minor of the input, every division is exact, and the reduced
-form comes out as integer numerators over one common scale.  The rank
-needs only the forward pass.
+rejected at the boundary.  Two kinds of elimination run here, and the
+fast one is never trusted:
+
+- ``nonzero_minor`` eliminates modulo the prime ``PRIME`` in numpy int64
+  and names a square submatrix by its pivot rows and columns.  It checks
+  the LU factors the elimination hands back, L @ U == that submatrix
+  (mod PRIME) with L unit lower and U upper triangular with a nonzero
+  diagonal, so the submatrix's determinant is nonzero mod PRIME and hence
+  nonzero: its size is a lower bound on the rank over the rationals.
+- ``rcef`` takes its pivot rows and columns from ``nonzero_minor``,
+  inverts only the pivot block exactly, and checks the echelon form it
+  builds against the input before returning it (see there).
+- ``rank`` and the pivot-block inverse use fraction-free Gauss-Jordan
+  (E. H. Bareiss, "Sylvester's identity and multistep integer-preserving
+  Gaussian elimination", Math. Comp. 22, 1968): each entry stays an
+  integer minor of the input and every division is exact.
 """
 
 from __future__ import annotations
@@ -14,7 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+import numpy as np
+
 Matrix = list[list[int]]
+
+# below 2^31, so a product of two residues stays below 2^62
+PRIME = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -34,10 +49,6 @@ def shape(a: Matrix) -> tuple[int, int]:
     return len(a), len(a[0]) if a else 0
 
 
-def transpose(a: Matrix) -> Matrix:
-    return [list(col) for col in zip(*a)] if a else []
-
-
 def mat_vec(a: Matrix, v: list[int]) -> list[int]:
     if a and len(v) != len(a[0]):
         raise ValueError("shape mismatch")
@@ -52,6 +63,107 @@ def _check(a: Matrix) -> None:
         if any(type(x) is not int for x in row):
             # a Fraction would floor-divide silently below
             raise TypeError("entries must be Python ints")
+
+
+def _array(a: Matrix) -> np.ndarray:
+    """``a`` as an int64 array when every entry is below 2^62 in absolute
+    value, else as an array of Python ints (numpy object dtype)."""
+    try:
+        m = np.array(a, dtype=np.int64).reshape(shape(a))
+        if m.size == 0 or (m.min() > -(2**62) and m.max() < 2**62):
+            return m
+    except OverflowError:
+        pass
+    return np.array(a, dtype=object).reshape(shape(a))
+
+
+def _exact(bound: int) -> type:
+    """The dtype in which numpy arithmetic is exact when no intermediate
+    value exceeds ``bound`` in absolute value."""
+    return np.int64 if bound < 2**63 else object
+
+
+def _absmax(x: np.ndarray) -> int:
+    return int(np.abs(x).max(initial=0))
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Exact x @ y, in int64 when no partial sum can reach 2^63."""
+    kind = _exact(_absmax(x) * _absmax(y) * x.shape[1])
+    return x.astype(kind) @ y.astype(kind)
+
+
+def _modp_lu(m: np.ndarray) -> tuple[list[int], list[int], np.ndarray, np.ndarray]:
+    """Gaussian elimination of the residues ``m`` (int64 in [0, PRIME)) by
+    column operations.  Each step's pivot row is the first row below the
+    last one with a nonzero entry in a column that is not yet a pivot, so
+    the pivot rows increase and are the lex-first independent rows mod
+    PRIME.  Returns the pivot rows, the pivot columns, and factors L (unit
+    lower triangular) and U (upper triangular) with
+    L @ U == m[rows][:, cols] mod PRIME.  ``nonzero_minor`` checks all of
+    it."""
+    work = m.copy()
+    nrows, ncols = work.shape
+    perm = list(range(ncols))
+    rows: list[int] = []
+    i = -1
+    for c in range(min(nrows, ncols)):
+        live = np.flatnonzero(work[i + 1 :, c:].any(axis=1))
+        if live.size == 0:
+            break
+        i += 1 + int(live[0])
+        k = c + int(np.flatnonzero(work[i, c:])[0])
+        work[:, [c, k]] = work[:, [k, c]]
+        perm[c], perm[k] = perm[k], perm[c]
+        factors = work[i, c + 1 :] * pow(int(work[i, c]), PRIME - 2, PRIME) % PRIME
+        below = work[i + 1 :, c + 1 :]
+        below -= work[i + 1 :, c, None] * factors
+        below %= PRIME
+        rows.append(i)
+    r = len(rows)
+    # row rows[l] is never touched after step l and column l is never
+    # touched after it either, so lu holds L below its diagonal (times the
+    # pivot) and U on and above it
+    lu = work[rows, :r]
+    inverses = np.array([pow(int(d), PRIME - 2, PRIME) for d in np.diag(lu)], dtype=np.int64)
+    low = np.tril(lu, -1) * inverses % PRIME + np.eye(r, dtype=np.int64)
+    return rows, perm[:r], low, np.triu(lu)
+
+
+def nonzero_minor(a: Matrix) -> tuple[list[int], list[int]]:
+    """Row and column indices of a square submatrix of ``a`` whose
+    determinant is nonzero mod PRIME, so nonzero: its size is a lower
+    bound on the rank of ``a``.  The elimination picks the lex-first
+    independent rows mod PRIME, in increasing order; what is checked here
+    is only that the minor is nonsingular.  Raises ArithmeticError unless
+    the elimination's factors check out: L unit lower triangular, U upper
+    triangular with a nonzero diagonal, entries in [0, PRIME), and
+    L @ U == a[rows][:, cols] mod PRIME."""
+    _check(a)
+    res = (_array(a) % PRIME).astype(np.int64)
+    rows, cols, low, up = _modp_lu(res)
+    nrows, ncols = res.shape
+    r = len(rows)
+    if not (
+        len(set(rows)) == len(set(cols)) == len(cols) == r
+        and all(0 <= i < nrows for i in rows)
+        and all(0 <= j < ncols for j in cols)
+        and low.shape == up.shape == (r, r)
+        and ((low >= 0) & (low < PRIME) & (up >= 0) & (up < PRIME)).all()
+        and np.array_equal(low, np.tril(low))
+        and (np.diag(low) == 1).all()
+        and np.array_equal(up, np.triu(up))
+        and np.diag(up).all()
+    ):
+        raise ArithmeticError("mod-p elimination returned malformed factors")
+    low, up = low.astype(np.int64), up.astype(np.int64)
+    prod = np.zeros((r, r), dtype=np.int64)
+    for k in range(r):
+        # a term is below PRIME^2 < 2^62 and prod below PRIME: no overflow
+        prod = (prod + low[:, k, None] * up[k]) % PRIME
+    if not np.array_equal(prod, res[rows][:, cols]):
+        raise ArithmeticError("mod-p factors do not multiply to the pivot block")
+    return [int(i) for i in rows], [int(j) for j in cols]
 
 
 def _gauss_jordan(a: Matrix, forward: bool = False) -> tuple[Matrix, list[int], int]:
@@ -94,17 +206,48 @@ def rcef(a: Matrix) -> EchelonResult:
     """Reduced column echelon form, the transpose of rref of the
     transpose: the canonical representative of the column space, with
     strictly increasing pivot rows, each a multiple of a standard basis
-    row."""
-    _check(a)
-    m, pivots, d = _gauss_jordan(transpose(a))
-    g = gcd(d, *(x for row in m for x in row))
-    sign = 1 if d > 0 else -1
-    scaled = [[x * sign // g for x in row] for row in m]
+    row.
+
+    The pivot rows and columns come from ``nonzero_minor``, so the pivot
+    block B is nonsingular.  With d * B^-1 from exact Gauss-Jordan on
+    [B | I], the result is C = A[:, cols] @ (d * B^-1), divided by its
+    content.  Before it is returned, C is checked exactly: C[piv] is
+    scale * I, C @ A[piv] is scale * A (so A has rank r and C spans its
+    column space), the rows before pivot k vanish from column k on (so
+    the form is the reduced one, whose pivot rows are lex-first over the
+    rationals), and gcd(scale, C) is 1.  If the prime hid a pivot, one
+    of these fails and ArithmeticError is raised; there is no fallback.
+    """
+    piv, cols = nonzero_minor(a)
+    r = len(piv)
+    block = [[a[i][j] for j in cols] + [int(t == k) for k in range(r)] for t, i in enumerate(piv)]
+    m, _, d = _gauss_jordan(block)
+    # d * B^-1 over d, both divided by their content and made positive
+    g = gcd(d, *(x for row in m for x in row[r:])) * (1 if d > 0 else -1)
+    full = _array(a)
+    c = _dot(full[:, cols], _array([[x // g for x in row[r:]] for row in m]))
+    scale = d // g
+    g = int(np.gcd.reduce(c.ravel(), initial=scale))
+    c, scale = c // g, scale // g
+
+    kind = _exact(_absmax(full) * scale)
+    if not (
+        scale > 0
+        and all(x < y for x, y in zip(piv, piv[1:]))
+        and np.array_equal(c[piv], scale * np.eye(r, dtype=c.dtype))
+        and np.array_equal(_dot(c, full[piv]), full.astype(kind) * scale)
+        and not any(c[:p, k:].any() for k, p in enumerate(piv))
+        and np.gcd.reduce(c.ravel(), initial=scale) == 1
+    ):
+        raise ArithmeticError("echelon form fails its exact check")
+    ncols = shape(a)[1]
+    pad = [0] * (ncols - r)
     return EchelonResult(
-        matrix=transpose(scaled),
-        rank=len(pivots),
-        pivot_rows=pivots,
-        scale=abs(d) // g,
+        # with no columns the form is [], the transpose of an empty rref
+        matrix=[row + pad for row in c.tolist()] if ncols else [],
+        rank=r,
+        pivot_rows=piv,
+        scale=int(scale),
     )
 
 

@@ -9,10 +9,15 @@ the collapsed matrix pins each candidate's coordinates to its entries on
 the pivot rows, so candidates are exactly the 0/1 assignments x and the
 scan is exhaustive, not heuristic.
 
-The echelon matrix comes out of fraction-free elimination as integers
-over one scale.  It is checked against the product matrix, the scan runs
-on it in int64 (entry bounds are checked), and survivors are re-verified
-in exact integer arithmetic before certification.
+Both eliminations on this path run mod a prime and are checked exactly.
+The neighbourhood rank is pinned between a Gram-matrix minor whose LU
+factors are checked mod p (a lower bound) and the incidence rows that
+the product check puts in the kernel (an upper bound).  The echelon
+matrix, integers over one scale, takes its pivots from the same checked
+elimination; ``ratmat.rcef`` checks it exactly and it is checked again
+against the product matrix here.  The scan runs on it in int64 (entry
+bounds are checked), and survivors are re-verified in exact integer
+arithmetic before certification.
 """
 
 from __future__ import annotations
@@ -97,12 +102,19 @@ def kernel_reduce(n: int, base: int = 0) -> KernelReduction:
     inc_ext = [row + [1] for row in incidence_matrix(n)]
     incidence_rank = ratmat.rank(inc_ext)
 
-    # rank of the neighbourhood rows via their Gram matrix; exact because
-    # rank(A) == rank(A^T A) over the rationals
+    # rank of the extended neighbourhood sign rows A, pinned from both
+    # sides.  Lower bound from a checked minor: a minor of the Gram matrix
+    # A^T A that is nonzero mod p shows rank(A) >= rank(A^T A) >= its size.
+    # Upper bound from the incidence kernel: A's rows times the base's +-1
+    # pair signs are the sign rows the product uses, so once product_zero
+    # (below) holds, the extended incidence rows times the same signs lie
+    # in A's kernel, and rank(A) <= (npairs + 1) - incidence_rank.  The
+    # ledger demands that the bounds meet, so the rank is exact.
     neigh = y_neighbours_bits(base, n)
     colsign = spectral._column_sign_masks(neigh, pairs)
     colsign.append(0)  # the all-ones column
-    neighbourhood_rank = ratmat.rank(spectral._sign_gram(colsign, len(neigh)))
+    minor_rows, _ = ratmat.nonzero_minor(spectral._sign_gram(colsign, len(neigh)))
+    neighbourhood_rank = len(minor_rows)
     kernel_dim = (npairs + 1) - neighbourhood_rank
 
     # the neighbourhood rows of the collapsed matrix must vanish

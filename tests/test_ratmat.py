@@ -1,14 +1,16 @@
-"""Exact integer matrix kernel: fraction-free elimination against a
-Fraction reference."""
+"""Exact integer matrix kernel: checked mod-p minors, the echelon form
+built from them and fraction-free elimination, against a Fraction
+reference."""
 
 import random
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
 import pytest
 
 from ortho_lab import ratmat, search, spectral
-from ortho_lab.graphs import y_neighbours_bits
+from ortho_lab.graphs import y_neighbours_bits, y_vertices
 
 
 # --- the Fraction reference ---------------------------------------------------
@@ -39,10 +41,14 @@ def rref(a):
     return m, pivots
 
 
+def transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
 def assert_matches_reference(a):
     res = ratmat.rcef(a)
-    ref, pivots = rref(ratmat.transpose(a))
-    ref = ratmat.transpose(ref)
+    ref, pivots = rref(transpose(a))
+    ref = transpose(ref)
     assert res.pivot_rows == pivots
     assert res.rank == len(pivots)
     assert res.scale == lcm(*(x.denominator for row in ref for x in row))
@@ -103,12 +109,34 @@ def test_rcef_matches_reference_on_product_matrices(n, base):
     assert_matches_reference(search._product_rows(n, base))
 
 
+def test_rcef_matches_reference_on_every_base():
+    # the mod-p pivots must be the rational ones for every base the search
+    # can be given: all canonical bases at n = 8, seeded ones at n = 12
+    rng = random.Random(8)
+    bases = [(8, b) for b in y_vertices(8)]
+    bases += [(12, b) for b in rng.sample(y_vertices(12), 8)]
+    for n, base in bases:
+        assert_matches_reference(search._product_rows(n, base))
+
+
 def test_rcef_matches_reference_on_random_rank_deficient_matrices():
     rng = random.Random(31)
     for _ in range(300):
         a = random_rank_deficient(rng, rng.randint(1, 7), rng.randint(1, 7))
         assert_matches_reference(a)
-        assert ratmat.rank(a) == len(rref(a)[1])
+        exact = len(rref(a)[1])
+        assert ratmat.rank(a) == exact
+        assert len(ratmat.nonzero_minor(a)[0]) == exact
+
+
+def test_rcef_matches_reference_beyond_int64():
+    # entries and products past 2^63 take the Python-int (object) path
+    rng = random.Random(32)
+    for _ in range(40):
+        assert_matches_reference(random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6), 2**70))
+        a = random_rank_deficient(rng, rng.randint(1, 7), rng.randint(1, 7), 2**40)
+        assert_matches_reference(a)
+        assert len(ratmat.nonzero_minor(a)[0]) == len(rref(a)[1])
 
 
 def test_rcef_of_empty_and_zero_matrices():
@@ -132,7 +160,9 @@ def test_rank_matches_reference_on_gram_matrices(n):
             [[q * x - (p if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(gram)]
         )
     for g in grams:
-        assert ratmat.rank(g) == len(rref(g)[1])
+        exact = len(rref(g)[1])
+        assert ratmat.rank(g) == exact
+        assert len(ratmat.nonzero_minor(g)[0]) == exact
 
 
 def test_rcef_is_idempotent_and_pivot_rows_increase():
@@ -165,13 +195,94 @@ def test_rank_of_transpose_matches():
     rng = random.Random(14)
     for _ in range(10):
         a = random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
-        assert ratmat.rank(a) == ratmat.rank(ratmat.transpose(a))
+        assert ratmat.rank(a) == ratmat.rank(transpose(a))
 
 
 def test_mat_vec():
     assert ratmat.mat_vec([[1, 2, 3], [0, 1, 0]], [1, 1, 1]) == [6, 1]
     with pytest.raises(ValueError):
         ratmat.mat_vec([[1, 2]], [1])
+
+
+# --- the mod-p minor ----------------------------------------------------------
+
+P = ratmat.PRIME
+
+
+@pytest.mark.parametrize(
+    "a",
+    (
+        [[P]],
+        [[P], [1]],
+        [[1, 1], [1, 1 + P]],
+        [[1, 1], [1, 1 + P], [0, 1]],
+        [[1, 1, 0], [1, 1 + P, 0], [0, 0, 1]],
+    ),
+    ids=("entry-p", "entry-p-above-pivot", "det-p", "det-p-then-pivot", "det-p-block"),
+)
+def test_unlucky_prime_is_refused(a):
+    # over the rationals each matrix has more rank than mod p, or the same
+    # rank with an earlier pivot row, so the mod-p pivots give a wrong form:
+    # the bound stays a lower bound, and rcef refuses rather than return it
+    assert len(ratmat.nonzero_minor(a)[0]) <= len(rref(a)[1])
+    with pytest.raises(ArithmeticError):
+        ratmat.rcef(a)
+
+
+def _forge_l(rows, cols, low, up):
+    low = low.copy()
+    low[1, 0] = (low[1, 0] + 1) % P
+    return rows, cols, low, up
+
+
+def _forge_u(rows, cols, low, up):
+    up = up.copy()
+    up[0, 1] = (up[0, 1] + 1) % P
+    return rows, cols, low, up
+
+
+def _forge_extra_pivot(rows, cols, low, up):
+    # claim one more pivot than there is, with factors of the right shape
+    r = len(rows)
+    spare_row = min(set(range(max(rows) + 2)) - set(rows))
+    spare_col = min(set(range(max(cols) + 2)) - set(cols))
+    grow = np.eye(r + 1, dtype=np.int64)
+    big_low, big_up = grow.copy(), grow.copy()
+    big_low[:r, :r], big_up[:r, :r] = low, up
+    return rows + [spare_row], cols + [spare_col], big_low, big_up
+
+
+@pytest.mark.parametrize(
+    "forge", (_forge_l, _forge_u, _forge_extra_pivot), ids=("L", "U", "extra-pivot")
+)
+def test_forged_factors_fail_the_factorisation_check(monkeypatch, forge):
+    # the 29 x 29 Gram matrix of kernel_reduce(8) has mod-p rank 21
+    pairs = spectral.two_subset_masks(8)
+    neigh = y_neighbours_bits(0, 8)
+    gram = spectral._sign_gram(spectral._column_sign_masks(neigh, pairs) + [0], len(neigh))
+    true_lu = ratmat._modp_lu
+    monkeypatch.setattr(ratmat, "_modp_lu", lambda m: forge(*true_lu(m)))
+    with pytest.raises(ArithmeticError, match="do not multiply"):
+        ratmat.nonzero_minor(gram)
+    with pytest.raises(ArithmeticError, match="do not multiply"):
+        search.kernel_reduce(8)
+
+
+@pytest.mark.parametrize(
+    "a, low, up",
+    (
+        ([[0]], [[1]], [[0]]),
+        ([[1, 1], [1, 1]], [[1, 1], [1, 1]], [[1, 0], [0, 1]]),
+        ([[1, 1], [1, 1]], [[1, 0], [0, 1]], [[1, 1], [1, 1]]),
+    ),
+    ids=("zero-pivot", "L-not-triangular", "U-not-triangular"),
+)
+def test_factors_of_a_singular_block_are_refused(monkeypatch, a, low, up):
+    # each pair multiplies out to the block, which is singular
+    rows = cols = list(range(len(a)))
+    monkeypatch.setattr(ratmat, "_modp_lu", lambda m: (rows, cols, np.array(low), np.array(up)))
+    with pytest.raises(ArithmeticError, match="malformed"):
+        ratmat.nonzero_minor(a)
 
 
 # --- the boundary -------------------------------------------------------------

@@ -40,6 +40,29 @@ def test_kernel_reduce_checks_its_rank_ledger(monkeypatch):
     monkeypatch.setattr(ratmat, "rank", lambda a: true_rank(a) - 1)
     with pytest.raises(ArithmeticError):
         search.kernel_reduce(8)
+    monkeypatch.undo()
+
+    # the Gram matrix's mod-p rank forged one too high and one too low,
+    # past the minor's own check; the echelon form's minor (of a matrix
+    # that is not square) stays honest, so only the ledger can object
+    true_minor = ratmat.nonzero_minor
+
+    def forged(shift):
+        def minor(a):
+            rows, cols = true_minor(a)
+            if len(a) != len(a[0]):
+                return rows, cols
+            if shift < 0:
+                return rows[:-1], cols[:-1]
+            spare = min(set(range(len(a))) - set(rows))
+            return rows + [spare], cols + [min(set(range(len(a))) - set(cols))]
+
+        return minor
+
+    for shift in (1, -1):
+        monkeypatch.setattr(ratmat, "nonzero_minor", forged(shift))
+        with pytest.raises(ArithmeticError, match="rank ledger"):
+            search.kernel_reduce(8)
 
 
 def test_echelon_is_checked_against_the_product_rows(monkeypatch):
