@@ -9,15 +9,18 @@ the collapsed matrix pins each candidate's coordinates to its entries on
 the pivot rows, so candidates are exactly the 0/1 assignments x and the
 scan is exhaustive, not heuristic.
 
-Both eliminations on this path run mod a prime and are checked exactly.
-The neighbourhood rank is pinned between a Gram-matrix minor whose LU
-factors are checked mod p (a lower bound) and the incidence rows that
-the product check puts in the kernel (an upper bound).  The echelon
-matrix, integers over one scale, takes its pivots from the same checked
-elimination; ``ratmat.rcef`` checks it exactly and it is checked again
-against the product matrix here.  The scan runs on it in int64 (entry
-bounds are checked), and survivors are re-verified in exact integer
-arithmetic before certification.
+The collapsed matrix and the neighbourhood Gram matrix both come from
+the 0/1 sign table of ``spectral._sign_row_mask``, one numpy step per
+word list.  Both eliminations on this path run mod a prime and are
+checked exactly.  The neighbourhood rank is pinned between a Gram-matrix
+minor whose LU factors are checked mod p (a lower bound) and the
+incidence rows that the product check puts in the kernel (an upper
+bound).  The echelon matrix, integers over one scale, takes its pivots
+from the same checked elimination; ``ratmat.rcef`` checks it exactly and
+it is checked again against the product matrix here.  The scan runs on
+it in int64 (entry bounds are checked), on row blocks that start small
+and grow, since the first rows already drop most candidates; survivors
+are re-verified in exact integer arithmetic before certification.
 """
 
 from __future__ import annotations
@@ -45,8 +48,7 @@ PIPELINE_DIMS = (8, 12, 16)
 def incidence_matrix(n: int) -> ratmat.Matrix:
     """Vertex-edge incidence of the complete graph on [n], columns in the
     same 2-subset order as the sign matrices."""
-    pairs = spectral.two_subset_masks(n)
-    return [[1 if p >> v & 1 else 0 for p in pairs] for v in range(n)]
+    return spectral.pair_incidence(n).tolist()
 
 
 def _require_canonical(bits: int, n: int) -> None:
@@ -59,26 +61,20 @@ def _product_rows(n: int, base: int) -> ratmat.Matrix:
     incidence matrix, one row per quotient vertex, one column per element
     of [n].
 
-    Each entry is a +-1 dot product over the pairs containing one vertex,
-    evaluated as (n-1) - 2*(popcount of masked sign bits), plus the
-    all-ones contribution.  A shifted base permutes rows of the base-0
-    matrix, which is how vertex-transitivity enters.
+    Row a is the sign-table row of a ^ base summed over the pairs
+    containing each vertex, plus the all-ones contribution.  A shifted
+    base permutes rows of the base-0 matrix, which is how
+    vertex-transitivity enters.
     """
-    pairs = spectral.two_subset_masks(n)
-    vert_colmask = spectral._vertex_column_masks(n, pairs)
-    rows = []
-    for a in y_vertices(n):
-        r = a ^ base
-        sm = spectral._sign_row_mask(r, pairs)
-        rows.append([n - 2 * (sm & vert_colmask[v]).bit_count() for v in range(n)])
-    return rows
+    table = spectral._sign_row_mask([a ^ base for a in y_vertices(n)], n)
+    return (spectral._sign_incidence_product(table, n) + 1).tolist()
 
 
 @dataclass(frozen=True)
 class KernelReduction:
     n: int
     base: VertexWord
-    product: ratmat.Matrix
+    product: np.ndarray  # _product_rows in int64
     echelon: ratmat.EchelonResult
     incidence_rank: int
     neighbourhood_rank: int
@@ -111,7 +107,7 @@ def kernel_reduce(n: int, base: int = 0) -> KernelReduction:
     # in A's kernel, and rank(A) <= (npairs + 1) - incidence_rank.  The
     # ledger demands that the bounds meet, so the rank is exact.
     neigh = y_neighbours_bits(base, n)
-    colsign = spectral._column_sign_masks(neigh, pairs)
+    colsign = spectral._column_sign_masks(spectral._sign_row_mask(neigh, n))
     colsign.append(0)  # the all-ones column
     minor_rows, _ = ratmat.nonzero_minor(spectral._sign_gram(colsign, len(neigh)))
     neighbourhood_rank = len(minor_rows)
@@ -119,11 +115,9 @@ def kernel_reduce(n: int, base: int = 0) -> KernelReduction:
 
     # the neighbourhood rows of the collapsed matrix must vanish
     product = _product_rows(n, base)
-    order = y_vertices(n)
-    pos = {w: k for k, w in enumerate(order)}
-    product_zero = all(
-        all(x == 0 for x in product[pos[a]]) for a in neigh
-    )
+    prod = np.array(product, dtype=np.int64)
+    pos = {w: k for k, w in enumerate(y_vertices(n))}
+    product_zero = not prod[[pos[a] for a in neigh]].any()
     if not (incidence_rank == n and kernel_dim == incidence_rank and product_zero):
         raise ArithmeticError(
             f"rank ledger does not close: incidence rank {incidence_rank}, "
@@ -139,7 +133,7 @@ def kernel_reduce(n: int, base: int = 0) -> KernelReduction:
     return KernelReduction(
         n=n,
         base=VertexWord(base, n),
-        product=product,
+        product=prod,
         echelon=echelon,
         incidence_rank=incidence_rank,
         neighbourhood_rank=neighbourhood_rank,
@@ -208,26 +202,24 @@ def certify_indset(kind: GraphKind, vertices: Sequence[int], base: int = 0) -> I
 
 def _scan_01_candidates(cint: np.ndarray, scale: int, lo: int, hi: int) -> list[int]:
     """All x in [lo, hi) for which every entry of (scaled echelon) * x is
-    0 or the scale; processed in candidate chunks and vertex-row blocks
-    with early abandonment of candidates that have already failed."""
-    nbits = cint.shape[1]
-    nrows = cint.shape[0]
+    0 or the scale.  Candidates go in chunks, and each chunk meets the
+    rows in blocks of 32, 64, ... up to 1024 rows, each block only on
+    the candidates that passed every earlier one: the first rows already
+    drop most candidates."""
+    nrows, nbits = cint.shape
+    shifts = np.arange(nbits, dtype=np.int64)[:, None]
     out: list[int] = []
     for c0 in range(lo, hi, 8192):
-        c1 = min(c0 + 8192, hi)
-        xs = np.arange(c0, c1, dtype=np.int64)
-        bits = ((xs[None, :] >> np.arange(nbits, dtype=np.int64)[:, None]) & 1).astype(
-            np.int64
-        )
-        alive = np.ones(xs.shape[0], dtype=bool)
-        for r0 in range(0, nrows, 256):
-            idx = np.nonzero(alive)[0]
-            if idx.size == 0:
-                break
-            z = cint[r0 : r0 + 256] @ bits[:, idx]
+        xs = np.arange(c0, min(c0 + 8192, hi), dtype=np.int64)
+        bits = (xs[None, :] >> shifts) & 1
+        r0, block = 0, 32
+        while r0 < nrows and xs.size:
+            z = cint[r0 : r0 + block] @ bits
             ok = ((z == 0) | (z == scale)).all(axis=0)
-            alive[idx[~ok]] = False
-        out.extend(int(x) for x in xs[alive])
+            xs, bits = xs[ok], bits[:, ok]
+            r0 += block
+            block = min(2 * block, 1024)
+        out.extend(xs.tolist())
     return out
 
 
@@ -239,16 +231,24 @@ def _echelon_candidates(n: int, base: int) -> list[list[int]]:
     red = kernel_reduce(n, base)
     cint_rows, scale = red.echelon.matrix, red.echelon.scale
     piv = red.echelon.pivot_rows
-    # the int64 scan is exact only if no dot product can overflow
-    row_bound = max(sum(map(abs, row)) for row in cint_rows)
+    prod = red.product
+    # an entry beyond int64 raises OverflowError here
+    cint = np.array(cint_rows, dtype=np.int64)
+    # the int64 scan is exact only if no dot product can overflow: every
+    # row's absolute sum must stay below 2^62.  Entries are bounded first
+    # and the sums saturate at 2^62, so bounding cannot overflow either.
+    row_bound = 2**62
+    if cint.min() > -(2**62) and cint.max() < 2**62:
+        row_sums = np.zeros(cint.shape[0], dtype=np.int64)
+        for col in np.abs(cint).T:
+            row_sums = np.minimum(row_sums + col, 2**62)
+        row_bound = int(row_sums.max())
     if row_bound >= 2**62:
         raise ArithmeticError("echelon entries too large for an exact int64 scan")
     # and so is the self-check C[piv] == scale*I, C @ P[piv] == scale*P
-    p_bound = max(abs(x) for row in red.product for x in row)
+    p_bound = max(int(prod.max()), -int(prod.min()))
     if max(row_bound, scale) * p_bound >= 2**62:
         raise ArithmeticError("echelon self-check would overflow int64")
-    cint = np.array(cint_rows, dtype=np.int64)
-    prod = np.array(red.product, dtype=np.int64)
     if not (
         np.array_equal(cint[piv], scale * np.eye(n, dtype=np.int64))
         and np.array_equal(cint @ prod[piv], scale * prod)

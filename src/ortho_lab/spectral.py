@@ -9,6 +9,12 @@ The adjacency operator is never materialized.  Two independent exact
 application strategies are provided: a neighbour-streaming scan, and a
 Walsh transform diagonalization (the graphs are Cayley graphs on an
 elementary abelian 2-group, so the transform diagonalizes adjacency).
+
+Sign matrices over pairs are built as one 0/1 numpy table
+(``_sign_row_mask``: a row per word, a column per 2-subset, 1 where the
++-1 entry is -1).  Products with the incidence matrix are integer row
+sums of that table, and Gram matrices are exact popcounts of its columns
+packed into Python ints.
 """
 
 from __future__ import annotations
@@ -17,6 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Optional, Sequence
+
+import numpy as np
 
 from . import ratmat
 from .graphs import (
@@ -264,44 +272,46 @@ def _neighbourhood_words(n: int) -> list[int]:
     return [w for w in range(1 << n) if w.bit_count() == half]
 
 
-def _sign_row_mask(a: int, pairs: list[int]) -> int:
-    """Bit k set iff the row entry for pair k is -1 (odd intersection)."""
-    m = 0
-    for k, p in enumerate(pairs):
-        if (a & p).bit_count() & 1:
-            m |= 1 << k
-    return m
+def _sign_row_mask(words: Sequence[int], n: int) -> np.ndarray:
+    """The 0/1 sign table of the words: one row per word, one column per
+    pair in ``two_subset_masks`` order, and entry 1 iff the word meets the
+    pair in one element (the +-1 sign-matrix entry is -1)."""
+    w = np.asarray(words, dtype=np.int64)
+    bits = ((w[:, None] >> np.arange(n)) & 1).astype(np.uint8)
+    i, j = np.triu_indices(n, 1)
+    return bits[:, i] ^ bits[:, j]
 
 
-def _column_sign_masks(words: Sequence[int], pairs: list[int]) -> list[int]:
-    """One mask per pair: bit idx set iff the sign-matrix row of words[idx]
-    is -1 in that pair's column."""
-    colsign = [0] * len(pairs)
-    for idx, a in enumerate(words):
-        sm = _sign_row_mask(a, pairs)
-        while sm:
-            low = sm & -sm
-            colsign[low.bit_length() - 1] |= 1 << idx
-            sm ^= low
-    return colsign
+def pair_incidence(n: int) -> np.ndarray:
+    """Vertex-pair incidence of the complete graph on [n] as a 0/1 array:
+    one row per element, one column per pair in ``two_subset_masks``
+    order."""
+    i, j = np.triu_indices(n, 1)
+    v = np.arange(n)[:, None]
+    return ((v == i) | (v == j)).astype(np.uint8)
+
+
+def _sign_incidence_product(table: np.ndarray, n: int) -> np.ndarray:
+    """The +-1 sign matrix of a sign table times the transposed incidence
+    matrix, in int64: entry (w, v) sums row w over the n - 1 pairs that
+    contain v, which is (n-1) - 2 * (their -1 count)."""
+    counts = [
+        table[:, m.astype(bool)].sum(axis=1, dtype=np.int64) for m in pair_incidence(n)
+    ]
+    return (n - 1) - 2 * np.stack(counts, axis=1)
+
+
+def _column_sign_masks(table: np.ndarray) -> list[int]:
+    """One mask per column of a sign table: bit idx set iff row idx is -1
+    in that column."""
+    packed = np.packbits(table, axis=0, bitorder="little")
+    return [int.from_bytes(col.tobytes(), "little") for col in packed.T]
 
 
 def _sign_gram(colsign: list[int], rows: int) -> list[list[int]]:
     """Gram matrix of the +-1 columns given by their sign masks over
     `rows` rows: a +-1 dot product is rows - 2*popcount(ci ^ cj)."""
     return [[rows - 2 * (ci ^ cj).bit_count() for cj in colsign] for ci in colsign]
-
-
-def _vertex_column_masks(n: int, pairs: list[int]) -> list[int]:
-    """One mask per element v of [n]: bit k set iff pair k contains v."""
-    vert_colmask = []
-    for v in range(n):
-        m = 0
-        for k, p in enumerate(pairs):
-            if p >> v & 1:
-                m |= 1 << k
-        vert_colmask.append(m)
-    return vert_colmask
 
 
 @dataclass(frozen=True)
@@ -329,40 +339,33 @@ def gram_identities(n: int) -> GramIdentityReport:
         i.e. equals (n-2) I + all-ones;
       * every sign-matrix row sums to -n/2.
 
-    Computed with popcount tricks (a +-1 dot product over k columns is
-    k - 2*popcount of the XOR of the sign masks), which is what makes
-    the 12870-row case instant.
+    All three are read off the 0/1 sign table of the neighbourhood words
+    (a +-1 sum over k entries is k - 2 * their -1 count) and the 0/1
+    incidence array, in int64 arrays.  A failure names the first failing
+    neighbourhood word, or the first failing incidence Gram entry.
     """
     if n not in (8, 12, 16):
         raise ValueError("identities checked for n in {8, 12, 16}")
-    pairs = two_subset_masks(n)
-    npairs = len(pairs)
     neigh = _neighbourhood_words(n)
-    vert_colmask = _vertex_column_masks(n, pairs)
+    table = _sign_row_mask(neigh, n)
+    bad_sum = table.shape[1] - 2 * table.sum(axis=1, dtype=np.int64) != -(n // 2)
+    bad_product = _sign_incidence_product(table, n) != -1
+    row_sums_ok = not bad_sum.any()
+    product_ok = not bad_product.any()
     witness = None
-    product_ok = True
-    row_sums_ok = True
-    for a in neigh:
-        sm = _sign_row_mask(a, pairs)
-        if npairs - 2 * sm.bit_count() != -(n // 2):
-            row_sums_ok = False
-            witness = witness or ("row_sum", a)
-        for v in range(n):
-            # entry = sum over pairs containing v of the row sign
-            if (n - 1) - 2 * (sm & vert_colmask[v]).bit_count() != -1:
-                product_ok = False
-                witness = witness or ("product", a, v)
-                break
-        if not (product_ok and row_sums_ok) and witness:
-            break
-    gram_ok = True
-    for u in range(n):
-        for v in range(n):
-            got = (vert_colmask[u] & vert_colmask[v]).bit_count()
-            want = n - 1 if u == v else 1
-            if got != want:
-                gram_ok = False
-                witness = witness or ("incidence_gram", u, v)
+    if not (row_sums_ok and product_ok):
+        k = int(np.argmax(bad_sum | bad_product.any(axis=1)))
+        if bad_sum[k]:
+            witness = ("row_sum", neigh[k])
+        else:
+            witness = ("product", neigh[k], int(np.argmax(bad_product[k])))
+    inc = pair_incidence(n).astype(np.int64)
+    want = (n - 2) * np.eye(n, dtype=np.int64) + 1
+    bad_gram = np.argwhere(inc @ inc.T != want)
+    gram_ok = bad_gram.size == 0
+    if witness is None and not gram_ok:
+        u, v = bad_gram[0]
+        witness = ("incidence_gram", int(u), int(v))
     return GramIdentityReport(
         n=n,
         product_all_minus_one=product_ok,
@@ -404,7 +407,7 @@ def neighbourhood_gram_spectrum(n: int) -> GramSpectrumReport:
     pairs = two_subset_masks(n)
     npairs = len(pairs)
     neigh = _neighbourhood_words(n)
-    colsign = _column_sign_masks(neigh, pairs)
+    colsign = _column_sign_masks(_sign_row_mask(neigh, n))
     c0 = comb(n, half)
     c1 = c0 - 8 * comb(n - 3, half - 1)
     c2 = c0 - 16 * comb(n - 4, half - 1)

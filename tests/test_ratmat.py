@@ -149,11 +149,12 @@ def test_rcef_of_empty_and_zero_matrices():
 def test_rank_matches_reference_on_gram_matrices(n):
     # kernel_reduce's extended neighbourhood Gram matrix, and the
     # spectrum's Gram matrix G shifted to q*G - p*I for each eigenvalue p/q
-    pairs = spectral.two_subset_masks(n)
     neigh = y_neighbours_bits(0, n)
     words = spectral._neighbourhood_words(n)
-    grams = [spectral._sign_gram(spectral._column_sign_masks(neigh, pairs) + [0], len(neigh))]
-    gram = spectral._sign_gram(spectral._column_sign_masks(words, pairs), len(words))
+    colsign = spectral._column_sign_masks(spectral._sign_row_mask(neigh, n))
+    grams = [spectral._sign_gram(colsign + [0], len(neigh))]
+    colsign = spectral._column_sign_masks(spectral._sign_row_mask(words, n))
+    gram = spectral._sign_gram(colsign, len(words))
     for lam in spectral.neighbourhood_gram_spectrum(n).eigenvalues:
         p, q = lam.numerator, lam.denominator
         grams.append(
@@ -257,9 +258,9 @@ def _forge_extra_pivot(rows, cols, low, up):
 )
 def test_forged_factors_fail_the_factorisation_check(monkeypatch, forge):
     # the 29 x 29 Gram matrix of kernel_reduce(8) has mod-p rank 21
-    pairs = spectral.two_subset_masks(8)
     neigh = y_neighbours_bits(0, 8)
-    gram = spectral._sign_gram(spectral._column_sign_masks(neigh, pairs) + [0], len(neigh))
+    colsign = spectral._column_sign_masks(spectral._sign_row_mask(neigh, 8))
+    gram = spectral._sign_gram(colsign + [0], len(neigh))
     true_lu = ratmat._modp_lu
     monkeypatch.setattr(ratmat, "_modp_lu", lambda m: forge(*true_lu(m)))
     with pytest.raises(ArithmeticError, match="do not multiply"):

@@ -3,6 +3,7 @@
 import dataclasses
 from math import comb
 
+import numpy as np
 import pytest
 
 from ortho_lab import ratmat, search
@@ -76,6 +77,75 @@ def test_echelon_is_checked_against_the_product_rows(monkeypatch):
 
     monkeypatch.setattr(ratmat, "rcef", perturbed)
     with pytest.raises(ArithmeticError):
+        search.enumerate_candidates(8)
+
+
+# --- the int64 candidate scan -------------------------------------------------
+
+def brute_force_scan(rows, scale, nbits, lo=0, hi=None):
+    """Every x in [lo, hi) whose product with the integer rows has only
+    entries 0 and scale, in Python ints."""
+    return [
+        x
+        for x in range(lo, (1 << nbits) if hi is None else hi)
+        if all(sum(c for j, c in enumerate(row) if x >> j & 1) in (0, scale) for row in rows)
+    ]
+
+
+@pytest.mark.parametrize(
+    "n, base", [(8, 0), (8, 0x3C), (8, 0x66), (12, 0), (12, 0x3C), (12, 0x5A6)]
+)
+def test_scan_matches_brute_force(n, base):
+    ech = search.kernel_reduce(n, base).echelon
+    cint = np.array(ech.matrix, dtype=np.int64)
+    want = brute_force_scan(ech.matrix, ech.scale, n)
+    assert search._scan_01_candidates(cint, ech.scale, 0, 1 << n) == want
+    assert search._scan_01_candidates(cint, ech.scale, 5, 201) == [x for x in want if 5 <= x < 201]
+
+
+def test_scan_reads_every_row_block():
+    # 3077 rows: blocks of 32, 64, ..., 1024 cover 2016, one more of 1024
+    # reaches 3040, and the last block is a 37-row tail; 3077 is a
+    # multiple of no block size.  Rows 0-2 drop x = 3, 5, 6 and 7, the
+    # middle rows keep everything, and only the last row drops x = 4.
+    cint = np.zeros((3077, 3), dtype=np.int64)
+    cint[:3] = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
+    cint[3:-1, 0] = 1
+    cint[-1] = [0, 0, -1]
+    assert brute_force_scan(cint.tolist(), 1, 3) == [0, 1, 2]
+    assert search._scan_01_candidates(cint, 1, 0, 8) == [0, 1, 2]
+    cint[-1] = 0
+    assert search._scan_01_candidates(cint, 1, 0, 8) == [0, 1, 2, 4]
+
+
+def test_scan_covers_every_candidate_chunk():
+    # 14 bits: the range [100, 16384) spans two candidate chunks; the
+    # scale-3 identity rows keep every x, the last row drops x with bit 12
+    # set and bit 13 clear
+    cint = np.zeros((45, 14), dtype=np.int64)
+    cint[:14] = 3 * np.eye(14, dtype=np.int64)
+    cint[-1, 12:] = [-3, 3]
+    want = [x for x in range(100, 1 << 14) if (x >> 12) & 3 != 1]
+    assert search._scan_01_candidates(cint, 3, 100, 1 << 14) == want
+
+
+@pytest.mark.parametrize(
+    "entries",
+    ([2**63], [-(2**62)], [2**61, 2**61], [2**62 - 1] * 8),
+    ids=("beyond-int64", "entry-2^62", "row-sum-2^62", "row-sum-past-int64"),
+)
+def test_echelon_bound_refuses_rows_an_int64_scan_cannot_hold(monkeypatch, entries):
+    # the last case sums past 2^63: an int64 row sum would wrap around
+    true_rcef = ratmat.rcef
+
+    def perturbed(a):
+        res = true_rcef(a)
+        bad = [row[:] for row in res.matrix]
+        bad[5][: len(entries)] = entries
+        return dataclasses.replace(res, matrix=bad)
+
+    monkeypatch.setattr(ratmat, "rcef", perturbed)
+    with pytest.raises(ArithmeticError, match="too large"):
         search.enumerate_candidates(8)
 
 
