@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import families, search, spectral
@@ -227,11 +226,6 @@ def psi_colouring(k: int) -> ColouringCertificate:
     return cert
 
 
-@lru_cache(maxsize=None)
-def _cached_search(n: int) -> search.SearchOutcome:
-    return search.enumerate_candidates(n)
-
-
 def omega_colouring(n: int) -> ColouringCertificate:
     """A verified proper colouring of the full graph with the minimum
     palette, for the dimensions where one is constructed exactly.  Up to
@@ -248,7 +242,7 @@ def omega_colouring(n: int) -> ColouringCertificate:
     if n % 4 == 2:
         return bipartite_colouring(n)
     if n == 8:
-        outcome = _cached_search(8)
+        outcome = search.enumerate_candidates(8)
         first = outcome.certificates[0]  # deterministic: lowest candidate index
         lifted = families.lift_members([v.bits for v in first.vertices], 8)
         return normal_cayley_colouring(lifted, sylvester_clique(3))
@@ -316,6 +310,7 @@ def chi_status(n: int) -> ChiStatusReport:
             None,
         )
     if n in (4, 8):
+        sylvester_clique(n.bit_length() - 1)  # raises unless verify_clique holds
         return ChiStatusReport(
             n,
             Verdict.EQUALS_N,
@@ -348,7 +343,7 @@ def chi_status(n: int) -> ChiStatusReport:
             f"the doubling partition, to one of size 2^{m // 2}/{m // 2} at dimension {m // 2}"
         )
         m //= 2
-    outcome = _cached_search(m)
+    outcome = search.enumerate_candidates(m)
     bound = spectral.ratio_bound(y_quotient(m)).bound
     # no set meets the ratio bound, so the quotient misses it by at least one
     quotient_alpha = bound - 1

@@ -97,22 +97,19 @@ def is_y_canonical(bits: int, n: int) -> bool:
 
 
 def y_vertices(n: int) -> list[int]:
-    """All canonical quotient vertices for dimension n, ascending as integers."""
+    """All canonical quotient vertices for dimension n, ascending as integers.
+
+    The canonical words (bit 0 clear, even weight) form an XOR subgroup of
+    dimension n - 2, and w -> w >> 2 maps it bijectively onto the (n-2)-bit
+    words: bits 0 and 1 are fixed by bit 0 being clear and by the parity of
+    bits 2..n-1.  The map is XOR-linear, and since the dropped bits are
+    determined by the kept ones it is also increasing, so a word's position
+    in this list is w >> 2.  The list is thus in group order, and the
+    quotient is a Cayley graph on these positions.
+    """
     if n % 4 != 0:
         raise ValueError("quotient vertices need n divisible by 4")
     return [a for a in range(1 << n) if a.bit_count() % 2 == 0 and not (a & 1)]
-
-
-def y_index_of(bits: int, n: int) -> int:
-    """Coordinates of a canonical quotient vertex in the (n-2)-dimensional
-    group: bits 1..n-2 of the word (the top bit is the parity of those)."""
-    return (bits >> 1) & ((1 << (n - 2)) - 1)
-
-
-def y_word_of_index(i: int, n: int) -> int:
-    """Inverse of y_index_of; XOR-linear, so the quotient graph is a Cayley
-    graph on the index group."""
-    return (i << 1) | ((i.bit_count() & 1) << (n - 1))
 
 
 def y_neighbours_bits(base: int, n: int) -> list[int]:

@@ -84,13 +84,14 @@ def _exact(bound: int) -> type:
 
 
 def _absmax(x: np.ndarray) -> int:
-    return int(np.abs(x).max(initial=0))
+    # not np.abs, which leaves the int64 minimum negative
+    return max(int(x.max()), -int(x.min())) if x.size else 0
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Exact x @ y, in int64 when no partial sum can reach 2^63."""
     kind = _exact(_absmax(x) * _absmax(y) * x.shape[1])
-    return x.astype(kind) @ y.astype(kind)
+    return x.astype(kind, copy=False) @ y.astype(kind, copy=False)
 
 
 def _modp_lu(m: np.ndarray) -> tuple[list[int], list[int], np.ndarray, np.ndarray]:

@@ -45,21 +45,16 @@ from .graphs import (
 
 PIPELINE_DIMS = (8, 12, 16)
 
-def incidence_matrix(n: int) -> ratmat.Matrix:
-    """Vertex-edge incidence of the complete graph on [n], columns in the
-    same 2-subset order as the sign matrices."""
-    return spectral.pair_incidence(n).tolist()
-
 
 def _require_canonical(bits: int, n: int) -> None:
     if not (0 <= bits < 1 << n and is_y_canonical(bits, n)):
         raise ValueError(f"base 0x{bits:x} is not a canonical quotient vertex")
 
 
-def _product_rows(n: int, base: int) -> ratmat.Matrix:
-    """The collapsed matrix: extended sign matrix times transposed extended
-    incidence matrix, one row per quotient vertex, one column per element
-    of [n].
+def _product_rows(n: int, base: int) -> np.ndarray:
+    """The collapsed matrix in int64: extended sign matrix times transposed
+    extended incidence matrix, one row per quotient vertex (row w >> 2 for
+    the word w, see ``y_vertices``), one column per element of [n].
 
     Row a is the sign-table row of a ^ base summed over the pairs
     containing each vertex, plus the all-ones contribution.  A shifted
@@ -67,14 +62,14 @@ def _product_rows(n: int, base: int) -> ratmat.Matrix:
     vertex-transitivity enters.
     """
     table = spectral._sign_row_mask([a ^ base for a in y_vertices(n)], n)
-    return (spectral._sign_incidence_product(table, n) + 1).tolist()
+    return spectral._sign_incidence_product(table, n) + 1
 
 
 @dataclass(frozen=True)
 class KernelReduction:
     n: int
     base: VertexWord
-    product: np.ndarray  # _product_rows in int64
+    product: np.ndarray  # _product_rows
     echelon: ratmat.EchelonResult
     incidence_rank: int
     neighbourhood_rank: int
@@ -95,7 +90,7 @@ def kernel_reduce(n: int, base: int = 0) -> KernelReduction:
     pairs = spectral.two_subset_masks(n)
     npairs = len(pairs)
 
-    inc_ext = [row + [1] for row in incidence_matrix(n)]
+    inc_ext = [row + [1] for row in spectral.pair_incidence(n).tolist()]
     incidence_rank = ratmat.rank(inc_ext)
 
     # rank of the extended neighbourhood sign rows A, pinned from both
@@ -115,9 +110,7 @@ def kernel_reduce(n: int, base: int = 0) -> KernelReduction:
 
     # the neighbourhood rows of the collapsed matrix must vanish
     product = _product_rows(n, base)
-    prod = np.array(product, dtype=np.int64)
-    pos = {w: k for k, w in enumerate(y_vertices(n))}
-    product_zero = not prod[[pos[a] for a in neigh]].any()
+    product_zero = not product[np.array(neigh) >> 2].any()
     if not (incidence_rank == n and kernel_dim == incidence_rank and product_zero):
         raise ArithmeticError(
             f"rank ledger does not close: incidence rank {incidence_rank}, "
@@ -125,7 +118,7 @@ def kernel_reduce(n: int, base: int = 0) -> KernelReduction:
             f"{product_zero}"
         )
 
-    echelon = ratmat.rcef(product)
+    echelon = ratmat.rcef(product.tolist())
     if echelon.rank != n:
         raise RuntimeError(
             f"echelon rank {echelon.rank} != {n}; construction is broken"
@@ -133,7 +126,7 @@ def kernel_reduce(n: int, base: int = 0) -> KernelReduction:
     return KernelReduction(
         n=n,
         base=VertexWord(base, n),
-        product=prod,
+        product=product,
         echelon=echelon,
         incidence_rank=incidence_rank,
         neighbourhood_rank=neighbourhood_rank,
@@ -234,24 +227,15 @@ def _echelon_candidates(n: int, base: int) -> list[list[int]]:
     prod = red.product
     # an entry beyond int64 raises OverflowError here
     cint = np.array(cint_rows, dtype=np.int64)
-    # the int64 scan is exact only if no dot product can overflow: every
-    # row's absolute sum must stay below 2^62.  Entries are bounded first
-    # and the sums saturate at 2^62, so bounding cannot overflow either.
-    row_bound = 2**62
-    if cint.min() > -(2**62) and cint.max() < 2**62:
-        row_sums = np.zeros(cint.shape[0], dtype=np.int64)
-        for col in np.abs(cint).T:
-            row_sums = np.minimum(row_sums + col, 2**62)
-        row_bound = int(row_sums.max())
-    if row_bound >= 2**62:
+    # every candidate is a 0/1 vector, so no partial sum of the scan's dot
+    # products exceeds n times the largest entry: below 2^63 it is exact
+    if ratmat._absmax(cint) * n >= 2**63:
         raise ArithmeticError("echelon entries too large for an exact int64 scan")
-    # and so is the self-check C[piv] == scale*I, C @ P[piv] == scale*P
-    p_bound = max(int(prod.max()), -int(prod.min()))
-    if max(row_bound, scale) * p_bound >= 2**62:
-        raise ArithmeticError("echelon self-check would overflow int64")
+    # C[piv] == scale*I and C @ P[piv] == scale*P, with exact products
+    scaled = prod.astype(ratmat._exact(ratmat._absmax(prod) * scale), copy=False) * scale
     if not (
         np.array_equal(cint[piv], scale * np.eye(n, dtype=np.int64))
-        and np.array_equal(cint @ prod[piv], scale * prod)
+        and np.array_equal(ratmat._dot(cint, prod[piv]), scaled)
     ):
         raise ArithmeticError("echelon matrix fails its check against the product rows")
     order = y_vertices(n)

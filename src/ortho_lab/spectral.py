@@ -27,15 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import ratmat
-from .graphs import (
-    Family,
-    GraphKind,
-    full_mask,
-    omega,
-    y_index_of,
-    y_vertices,
-    y_word_of_index,
-)
+from .graphs import Family, GraphKind, full_mask, omega, y_vertices
 
 
 def least_eigenvalue(n: int) -> Fraction:
@@ -126,10 +118,7 @@ def _connection_indicator(kind: GraphKind) -> list[int]:
     if kind.family is Family.OMEGA:
         return [1 if w.bit_count() == half else 0 for w in range(1 << n)]
     if kind.family is Family.Y:
-        return [
-            1 if y_word_of_index(i, n).bit_count() == half else 0
-            for i in range(1 << (n - 2))
-        ]
+        return [1 if w.bit_count() == half else 0 for w in y_vertices(n)]
     raise ValueError("adjacency apply supports the full graph and the quotient")
 
 
@@ -142,21 +131,13 @@ def vertex_order(kind: GraphKind) -> list[int]:
 
 
 def apply_adjacency(kind: GraphKind, vec: Sequence[int]) -> list[int]:
-    """Exact A*vec via the Walsh transform, entries in vertex_order(kind)."""
-    n = kind.n
-    if n > 16:
+    """Exact A*vec via the Walsh transform, entries in vertex_order(kind).
+    For both families that order is a group order (the quotient's by the
+    position map of ``y_vertices``), so the transform runs on it as is."""
+    if kind.n > 16:
         raise ValueError("exhaustive apply capped at n = 16")
     conn = _connection_indicator(kind)
-    if kind.family is Family.Y:
-        # reorder from ascending canonical words to group indices
-        order = vertex_order(kind)
-        if len(vec) != len(order):
-            raise ValueError("vector length mismatch")
-        pos = {y_index_of(w, n): k for k, w in enumerate(order)}
-        grouped = [vec[pos[i]] for i in range(len(order))]
-        out = _cayley_apply(grouped, conn)
-        return [out[y_index_of(w, n)] for w in order]
-    if len(vec) != 1 << n:
+    if len(vec) != len(conn):
         raise ValueError("vector length mismatch")
     return _cayley_apply(list(vec), conn)
 
@@ -183,14 +164,13 @@ def _apply_streaming(kind: GraphKind, vec: Sequence) -> list:
         diffs = [w for w in range(1 << n) if w.bit_count() == half]
         return [sum(vec[a ^ d] for d in diffs) for a in range(1 << n)]
     if kind.family is Family.Y:
-        order = vertex_order(kind)
-        pos = {w: k for k, w in enumerate(order)}
         diffs = [
             w
             for w in range(1 << n)
             if w.bit_count() == half and not (w & 1)  # canonical differences
         ]
-        return [sum(vec[pos[a ^ d]] for d in diffs) for a in order]
+        # a ^ d is canonical, at position (a ^ d) >> 2
+        return [sum(vec[(a ^ d) >> 2] for d in diffs) for a in y_vertices(n)]
     raise ValueError("streaming apply supports the full graph and the quotient")
 
 

@@ -377,6 +377,33 @@ def test_psi_colouring_16_certificate_bytes_are_pinned(tmp_path, capsys):
     assert code == 0 and out.startswith("OK")
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["search", "--n", "4"], "5fd26272d196444b175cfcc4ad495da9e32a586f6965f10a96e99bb093fd6641"),
+        (["search", "--n", "8"], "c8692bb79b92e36b6a70ee14d77707db7e491c8a2b26b97be340089608052567"),
+        (
+            ["search", "--n", "12", "--base", "3c"],
+            "6aa08f519b3111e8cb4c4f9dfbdd6a887b16719c699f8a55e2c6af26151ce16c",
+        ),
+        (
+            ["search", "--n", "16", "--base", "44ca"],
+            "c21a7738a4cd6da62dc638adfbe2d88200b4eabab6439f8c089ab9cc7d7d0739",
+        ),
+        (["spectrum", "--n", "8"], "dd0d1376ddb68646a3db2bddc2a166be7095cbd1a8c29a060d96d94c73b3dec3"),
+        (["status", "--n", "16"], "8e45a066f8c27d380e70a34739a029f00d02c75bff07fbb6badfc17bb750e0ac"),
+    ],
+    ids=("search4", "search8", "search12-3c", "search16-44ca", "spectrum8", "status16"),
+)
+def test_certificate_bytes_are_pinned(tmp_path, capsys, argv, digest):
+    path = tmp_path / "cert.json"
+    code, _, _ = run_cli(argv + ["--out", str(path)], capsys)
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    code, out, _ = run_cli(["verify", str(path)], capsys)
+    assert code == 0 and out.startswith("OK")
+
+
 # placeholder swapped for raw JSON text, since json.dumps cannot write 1e400
 RAW = "@raw@"
 

@@ -224,6 +224,13 @@ def test_chi_status_attaches_colouring_exactly_when_equal():
     assert colouring.chi_status(12).colouring is None
 
 
+def test_chi_status_4_checks_its_clique(monkeypatch):
+    # the lower bound "4 pairwise orthogonal words" rests on a checked clique
+    monkeypatch.setattr(colouring, "verify_clique", lambda cert: False)
+    with pytest.raises(AssertionError):
+        colouring.chi_status(4)
+
+
 def test_chi_status_16_cites_the_exhausted_search():
     rep = colouring.chi_status(16)
     assert rep.verdict is Verdict.GREATER_THAN_N
@@ -233,9 +240,9 @@ def test_chi_status_16_cites_the_exhausted_search():
 
 
 def test_chi_status_16_needs_an_empty_search(monkeypatch):
-    outcome = colouring._cached_search(16)
+    outcome = search.enumerate_candidates(16)
     tight = dataclasses.replace(outcome, count_independent=1, count_containing_base=1)
-    monkeypatch.setattr(colouring, "_cached_search", lambda n: tight)
+    monkeypatch.setattr(search, "enumerate_candidates", lambda n: tight)
     with pytest.raises(AssertionError):
         colouring.chi_status(16)
 

@@ -105,12 +105,20 @@ def test_y_vertices_count_and_canonicity():
         assert vs == sorted(vs)
 
 
-def test_y_index_bijection():
-    for n in (4, 8):
-        for i in range(1 << (n - 2)):
-            w = graphs.y_word_of_index(i, n)
-            assert graphs.is_y_canonical(w, n)
-            assert graphs.y_index_of(w, n) == i
+def test_y_position_map_is_xor_linear():
+    # a canonical word w sits at position w >> 2, and the canonical words
+    # are closed under XOR, so positions are group coordinates
+    for n in (4, 8, 12):
+        vs = graphs.y_vertices(n)
+        assert all(vs[w >> 2] == w for w in vs)
+        words = set(vs)
+        rng = random.Random(n)
+        pairs = [(u, v) for u in vs for v in vs] if n < 12 else [
+            (rng.choice(vs), rng.choice(vs)) for _ in range(2000)
+        ]
+        for u, v in pairs:
+            assert u ^ v in words
+            assert (u ^ v) >> 2 == (u >> 2) ^ (v >> 2)
 
 
 def test_y_neighbours_are_canonical_and_counted():

@@ -6,7 +6,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from ortho_lab import ratmat, search
+from ortho_lab import ratmat, search, spectral
 from ortho_lab.graphs import (
     VertexWord,
     omega,
@@ -20,7 +20,7 @@ from ortho_lab.graphs import (
 
 def test_incidence_matrix_rank():
     # unsigned incidence of a complete graph: full rank (odd cycles exist)
-    b = search.incidence_matrix(8)
+    b = spectral.pair_incidence(8).tolist()
     assert (len(b), len(b[0])) == (8, 28)
     assert ratmat.rank(b) == 8
 
@@ -146,6 +146,28 @@ def test_echelon_bound_refuses_rows_an_int64_scan_cannot_hold(monkeypatch, entri
 
     monkeypatch.setattr(ratmat, "rcef", perturbed)
     with pytest.raises(ArithmeticError, match="too large"):
+        search.enumerate_candidates(8)
+
+
+@pytest.mark.parametrize(
+    "row, match",
+    [([-(2**63)] + [0] * 7, "too large"), ([2**59] * 8, "fails its check")],
+    ids=("int64-minimum", "self-check-past-int64"),
+)
+def test_echelon_checks_stay_exact_at_the_int64_edge(monkeypatch, row, match):
+    # np.abs leaves -2^63 negative, so a bound read off it would pass it;
+    # 8 * 2^59 = 2^62 fits the scan, but the self-check's products with
+    # the product rows pass 2^63 and would wrap in int64
+    true_rcef = ratmat.rcef
+
+    def perturbed(a):
+        res = true_rcef(a)
+        bad = [r[:] for r in res.matrix]
+        bad[5] = row
+        return dataclasses.replace(res, matrix=bad)
+
+    monkeypatch.setattr(ratmat, "rcef", perturbed)
+    with pytest.raises(ArithmeticError, match=match):
         search.enumerate_candidates(8)
 
 

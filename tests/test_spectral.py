@@ -69,7 +69,7 @@ def test_apply_adjacency_on_all_ones_gives_degree():
 
 def test_adjacency_strategies_agree_on_random_vectors():
     rng = random.Random(22)
-    for kind in (omega(4), omega(6), omega(8), y_quotient(8)):
+    for kind in (omega(4), omega(6), omega(8), y_quotient(4), y_quotient(8), y_quotient(12)):
         size = len(spectral.vertex_order(kind))
         for _ in range(3):
             vec = [rng.randint(-9, 9) for _ in range(size)]
