@@ -157,12 +157,13 @@ def _recheck(kind: str, n: int, payload: dict) -> list[str]:
 
 def _run_verify(args) -> int:
     try:
-        with open(args.certificate, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(args.certificate, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read {args.certificate}: {exc}") from exc
     try:
-        obj = json.loads(text)
+        # bytes that are not UTF-8 make a malformed certificate, not a usage error
+        obj = json.loads(data.decode("utf-8"))
         kind, n, payload = certificates.validate_envelope(obj)
     except (ValueError, KeyError, RecursionError) as exc:
         print(f"FAIL: malformed certificate: {exc}", file=sys.stderr)

@@ -225,7 +225,7 @@ def m2k_bound(n: int) -> DoublingBoundReport:
         m //= 2
         k += 1
     doubling = 1 << (n - k)
-    ratio = Fraction(1 << n, n) if n % 4 == 0 else None
+    ratio = spectral.ratio_bound(omega(n)).bound if n % 4 == 0 else None
     factor = None if ratio is None else int(doubling / ratio)
     return DoublingBoundReport(
         n=n,

@@ -82,6 +82,15 @@ def adjacent_bits(a: int, b: int, n: int) -> bool:
     return n % 2 == 0 and (a ^ b).bit_count() == n // 2
 
 
+def half_weight_words(n: int) -> list[int]:
+    """The words at distance n/2 from 0, ascending: the connection set of
+    the full graph (empty for odd n).  Its even members are the
+    quotient's connection set, the even word d at position d >> 2."""
+    if n % 2:
+        return []
+    return [w for w in range(1 << n) if w.bit_count() == n // 2]
+
+
 def degree_of(n: int) -> int:
     """Vertex degree: the number of words at distance n/2."""
     return comb(n, n // 2) if n % 2 == 0 else 0
@@ -105,21 +114,19 @@ def y_vertices(n: int) -> list[int]:
     bits 2..n-1.  The map is XOR-linear, and since the dropped bits are
     determined by the kept ones it is also increasing, so a word's position
     in this list is w >> 2.  The list is thus in group order, and the
-    quotient is a Cayley graph on these positions.
+    quotient is a Cayley graph on these positions.  It is generated from
+    that map: position i holds i << 2 with bit 1 set to the parity of i.
     """
     if n % 4 != 0:
         raise ValueError("quotient vertices need n divisible by 4")
-    return [a for a in range(1 << n) if a.bit_count() % 2 == 0 and not (a & 1)]
+    return [(i << 2) | (i.bit_count() & 1) << 1 for i in range(1 << (n - 2))]
 
 
 def y_neighbours_bits(base: int, n: int) -> list[int]:
-    """Canonical neighbours of a canonical vertex, ascending."""
-    h = n // 2
-    return sorted(
-        y_canonical_bits(base ^ w, n)
-        for w in range(1 << n)
-        if w.bit_count() == h and not ((base ^ w) & 1)
-    )
+    """Neighbours of a canonical vertex, ascending.  A canonical word
+    XOR an even connection word keeps bit 0 clear and even weight, so
+    the even half-weight words are the quotient's differences."""
+    return sorted(base ^ d for d in half_weight_words(n) if not d & 1)
 
 
 # -- the doubling construction -------------------------------------------------

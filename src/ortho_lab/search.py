@@ -26,7 +26,6 @@ are re-verified in exact integer arithmetic before certification.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -277,7 +276,7 @@ def enumerate_candidates(
     else:
         raise ValueError("enumeration supported for n in {4, 8, 12, 16}")
     kind = y_quotient(n)
-    target = Fraction(1 << (n - 2), n)
+    target = spectral.ratio_bound(kind).bound
     count_weight = 0
     count_indep = 0
     count_base = 0
@@ -313,7 +312,7 @@ def exhaustive_tight_sets(n: int, base: int = 0) -> list[list[int]]:
     if n not in (4, 8):
         raise ValueError("backtracking oracle sized for n in {4, 8}")
     _require_canonical(base, n)
-    bound = Fraction(1 << (n - 2), n)
+    bound = spectral.ratio_bound(y_quotient(n)).bound
     if bound.denominator != 1:
         raise ArithmeticError(f"bound {bound} is not an integer")
     target = int(bound)

@@ -5,10 +5,12 @@ bound.  The tau-eigenspace is spanned by character columns indexed by
 2-subsets and (n-2)-subsets; everything here verifies those facts by
 direct computation rather than quoting them.
 
-The adjacency operator is never materialized.  Two independent exact
-application strategies are provided: a neighbour-streaming scan, and a
-Walsh transform diagonalization (the graphs are Cayley graphs on an
-elementary abelian 2-group, so the transform diagonalizes adjacency).
+The adjacency operator is never materialized.  The full graph and the
+quotient are Cayley graphs on an elementary abelian 2-group, so the
+Walsh transform diagonalizes adjacency and the transform of the
+connection indicator is the whole spectrum; the ratio-bound equality
+test is read off it.  The tau-eigenspace is checked independently, by
+summing each character column over every vertex's neighbours.
 
 Sign matrices over pairs are built as one 0/1 numpy table
 (``_sign_row_mask``: a row per word, a column per 2-subset, 1 where the
@@ -27,7 +29,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import ratmat
-from .graphs import Family, GraphKind, full_mask, omega, y_vertices
+from .graphs import (
+    Family,
+    GraphKind,
+    adjacent_bits,
+    full_mask,
+    half_weight_words,
+    y_vertices,
+)
 
 
 def least_eigenvalue(n: int) -> Fraction:
@@ -93,7 +102,7 @@ def character_column(p_mask: int, vertices: Sequence[int]) -> list[int]:
     return [1 - 2 * ((a & p_mask).bit_count() & 1) for a in vertices]
 
 
-# -- exact adjacency application ----------------------------------------------
+# -- the Walsh spectrum and neighbour streaming -------------------------------
 
 def wht(vec: Sequence[int]) -> list[int]:
     """In-place-style Walsh-Hadamard transform; exact on ints.
@@ -113,65 +122,31 @@ def wht(vec: Sequence[int]) -> list[int]:
     return v
 
 
-def _connection_indicator(kind: GraphKind) -> list[int]:
-    n, half = kind.n, kind.n // 2
-    if kind.family is Family.OMEGA:
-        return [1 if w.bit_count() == half else 0 for w in range(1 << n)]
-    if kind.family is Family.Y:
-        return [1 if w.bit_count() == half else 0 for w in y_vertices(n)]
-    raise ValueError("adjacency apply supports the full graph and the quotient")
-
-
 def vertex_order(kind: GraphKind) -> list[int]:
     """The fixed vertex enumeration used for characteristic vectors:
-    canonical words for the quotient, every n-bit word otherwise."""
+    canonical words for the quotient, every n-bit word otherwise.  For
+    the full graph and the quotient it is a group order (the quotient's
+    by the position map of ``y_vertices``), so the transform runs on it
+    as is."""
     if kind.family is Family.Y:
         return y_vertices(kind.n)
     return list(range(1 << kind.n))
 
 
-def apply_adjacency(kind: GraphKind, vec: Sequence[int]) -> list[int]:
-    """Exact A*vec via the Walsh transform, entries in vertex_order(kind).
-    For both families that order is a group order (the quotient's by the
-    position map of ``y_vertices``), so the transform runs on it as is."""
-    if kind.n > 16:
-        raise ValueError("exhaustive apply capped at n = 16")
-    conn = _connection_indicator(kind)
-    if len(vec) != len(conn):
-        raise ValueError("vector length mismatch")
-    return _cayley_apply(list(vec), conn)
+def _connection_indicator(kind: GraphKind) -> list[int]:
+    """The 0/1 indicator of the connection set in vertex_order(kind).
+    Its transform is the adjacency spectrum: A's eigenvalue on character
+    k is entry k."""
+    if kind.family is Family.PSI:
+        raise ValueError("the spectrum covers the full graph and the quotient")
+    return [int(adjacent_bits(0, w, kind.n)) for w in vertex_order(kind)]
 
 
-def _cayley_apply(vec: list[int], conn: list[int]) -> list[int]:
-    m = len(vec)
-    eig = wht(conn)
-    hat = wht(vec)
-    back = wht([e * x for e, x in zip(eig, hat)])
-    out = []
-    for x in back:
-        q, r = divmod(x, m)
-        if r:
-            raise ArithmeticError("inverse transform not integral")
-        out.append(q)
-    return out
-
-
-def _apply_streaming(kind: GraphKind, vec: Sequence) -> list:
-    """Independent cross-check: sum the vector over each vertex's
+def _apply_streaming(n: int, vec: Sequence) -> list:
+    """A*vec on the full graph, summing the vector over each vertex's
     neighbours directly."""
-    n, half = kind.n, kind.n // 2
-    if kind.family is Family.OMEGA:
-        diffs = [w for w in range(1 << n) if w.bit_count() == half]
-        return [sum(vec[a ^ d] for d in diffs) for a in range(1 << n)]
-    if kind.family is Family.Y:
-        diffs = [
-            w
-            for w in range(1 << n)
-            if w.bit_count() == half and not (w & 1)  # canonical differences
-        ]
-        # a ^ d is canonical, at position (a ^ d) >> 2
-        return [sum(vec[(a ^ d) >> 2] for d in diffs) for a in y_vertices(n)]
-    raise ValueError("streaming apply supports the full graph and the quotient")
+    diffs = half_weight_words(n)
+    return [sum(vec[a ^ d] for d in diffs) for a in range(1 << n)]
 
 
 # -- tau-eigenspace verification ----------------------------------------------
@@ -191,8 +166,8 @@ class TauEigenspaceReport:
 
 def verify_tau_eigenspace(n: int) -> TauEigenspaceReport:
     """Check A*w == tau*w for every character column, by neighbour
-    streaming (deliberately not the transform, so the two adjacency
-    strategies stay independent witnesses)."""
+    streaming (deliberately not the transform, so this check does not
+    rest on the spectrum the equality test reads)."""
     if n not in (4, 8):
         raise ValueError("exhaustive eigenspace check only for n in {4, 8}")
     tau = least_eigenvalue(n)
@@ -205,7 +180,7 @@ def verify_tau_eigenspace(n: int) -> TauEigenspaceReport:
     failing = None
     for ci, p in enumerate(masks):
         col = character_column(p, range(1 << n))
-        applied = _apply_streaming(omega(n), col)
+        applied = _apply_streaming(n, col)
         defect = max(abs(a - t * x) for a, x in zip(applied, col))
         if defect > max_defect:
             max_defect, failing = defect, ci
@@ -222,10 +197,14 @@ def equality_condition_check(kind: GraphKind, members: Sequence[int]) -> bool:
     """Exact ratio-bound equality test for a vertex set S with
     characteristic vector z: A(z - (s/v)1) == tau (z - (s/v)1).
 
-    Scaling by v keeps the whole computation in integers.  Holds exactly
-    when S attains the bound; fails otherwise.
+    Scaling by v keeps u = v z - s 1 in integers.  A is diagonal in the
+    Walsh basis with the transform of the connection indicator as its
+    spectrum, so the test holds iff the transform of u vanishes wherever
+    that spectrum differs from tau.  Holds exactly when S attains the
+    bound; fails otherwise.
     """
-    n = kind.n
+    if kind.n > 16:
+        raise ValueError("exhaustive equality test capped at n = 16")
     order = vertex_order(kind)
     pos = {w: k for k, w in enumerate(order)}
     if len(set(members)) != len(members):
@@ -235,22 +214,14 @@ def equality_condition_check(kind: GraphKind, members: Sequence[int]) -> bool:
         if b not in pos:
             raise ValueError(f"0x{b:x} is not a vertex of this graph")
         z[pos[b]] = 1
-    v = len(order)
-    s = len(members)
-    tau = least_eigenvalue(n)
-    if kind.family is Family.Y:
-        tau = tau / 2
-    u = [v * zi - s for zi in z]  # v * (z - (s/v) 1)
-    au = apply_adjacency(kind, u)
-    return all(a == tau * x for a, x in zip(au, u))
+    v, s = len(order), len(members)
+    tau = ratio_bound(kind).least_eigenvalue
+    spectrum = wht(_connection_indicator(kind))
+    u_hat = wht([v * zi - s for zi in z])
+    return all(x == 0 for e, x in zip(spectrum, u_hat) if e != tau)
 
 
 # -- neighbourhood sign-matrix identities --------------------------------------
-
-def _neighbourhood_words(n: int) -> list[int]:
-    half = n // 2
-    return [w for w in range(1 << n) if w.bit_count() == half]
-
 
 def _sign_row_mask(words: Sequence[int], n: int) -> np.ndarray:
     """The 0/1 sign table of the words: one row per word, one column per
@@ -326,7 +297,7 @@ def gram_identities(n: int) -> GramIdentityReport:
     """
     if n not in (8, 12, 16):
         raise ValueError("identities checked for n in {8, 12, 16}")
-    neigh = _neighbourhood_words(n)
+    neigh = half_weight_words(n)
     table = _sign_row_mask(neigh, n)
     bad_sum = table.shape[1] - 2 * table.sum(axis=1, dtype=np.int64) != -(n // 2)
     bad_product = _sign_incidence_product(table, n) != -1
@@ -386,7 +357,7 @@ def neighbourhood_gram_spectrum(n: int) -> GramSpectrumReport:
     half = n // 2
     pairs = two_subset_masks(n)
     npairs = len(pairs)
-    neigh = _neighbourhood_words(n)
+    neigh = half_weight_words(n)
     colsign = _column_sign_masks(_sign_row_mask(neigh, n))
     c0 = comb(n, half)
     c1 = c0 - 8 * comb(n - 3, half - 1)

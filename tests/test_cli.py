@@ -392,8 +392,31 @@ def test_psi_colouring_16_certificate_bytes_are_pinned(tmp_path, capsys):
         ),
         (["spectrum", "--n", "8"], "dd0d1376ddb68646a3db2bddc2a166be7095cbd1a8c29a060d96d94c73b3dec3"),
         (["status", "--n", "16"], "8e45a066f8c27d380e70a34739a029f00d02c75bff07fbb6badfc17bb750e0ac"),
+        (["spectrum", "--n", "4"], "5587978f7a1aeb937b4d95750a68140e3fd9c9f53b7a5d0d0fb6bccc88ce8a3c"),
+        (
+            ["families", "--n", "8", "--which", "segment"],
+            "c82eef48e018a510625770c554d6b5cece4f7e68f7ad8cde70cabb2e51bb114f",
+        ),
+        (
+            ["families", "--n", "12", "--which", "m2k"],
+            "93fcf8416d774bfc43c34ccd2c5c4d0f47e96b2bcea48bda9f6197e8587f44f9",
+        ),
+        (["status", "--n", "12"], "3fb03a864191b18f7df3249ebeba56612277fe255f038036ce3bb1796e4d28c7"),
+        (["colour", "--n", "8"], "b61749a168829b4601ed40c8998b81b9a125f49d9f685f6735ec7a614bb7a47b"),
     ],
-    ids=("search4", "search8", "search12-3c", "search16-44ca", "spectrum8", "status16"),
+    ids=(
+        "search4",
+        "search8",
+        "search12-3c",
+        "search16-44ca",
+        "spectrum8",
+        "status16",
+        "spectrum4",
+        "segment8",
+        "m2k12",
+        "status12",
+        "colour8",
+    ),
 )
 def test_certificate_bytes_are_pinned(tmp_path, capsys, argv, digest):
     path = tmp_path / "cert.json"

@@ -2,10 +2,11 @@
 
 import dataclasses
 import random
+from fractions import Fraction
 
 import pytest
 
-from ortho_lab import colouring, families, search
+from ortho_lab import colouring, families, search, spectral
 from ortho_lab.colouring import Verdict
 from ortho_lab.graphs import (
     VertexWord,
@@ -170,12 +171,17 @@ def test_omega_colouring_dimensions():
 
 def test_verify_colouring_rejects_broken_partition():
     cert = colouring.omega_colouring(4)
-    # drop one vertex
-    classes = (cert.classes[0][1:],) + cert.classes[1:]
-    broken = colouring.ColouringCertificate(
-        kind=cert.kind, classes=classes, palette_size=cert.palette_size
-    )
-    assert not colouring.verify_colouring(broken)
+    first = cert.classes[0]
+    for classes in (
+        # drop one vertex
+        (first[1:],) + cert.classes[1:],
+        # duplicate one vertex in place of another: the count still matches
+        ((first[1],) + first[1:],) + cert.classes[1:],
+    ):
+        broken = colouring.ColouringCertificate(
+            kind=cert.kind, classes=classes, palette_size=cert.palette_size
+        )
+        assert not colouring.verify_colouring(broken)
 
 
 def test_verify_colouring_rejects_merged_classes():
@@ -245,6 +251,19 @@ def test_chi_status_16_needs_an_empty_search(monkeypatch):
     monkeypatch.setattr(search, "enumerate_candidates", lambda n: tight)
     with pytest.raises(AssertionError):
         colouring.chi_status(16)
+
+
+def test_chi_status_12_needs_a_fractional_bound(monkeypatch):
+    # the 4 | n, non-power-of-two verdict rests on the computed ratio bound
+    # not being an integer
+    true_bound = spectral.ratio_bound
+
+    def integral(kind):
+        return dataclasses.replace(true_bound(kind), bound=Fraction(341))
+
+    monkeypatch.setattr(spectral, "ratio_bound", integral)
+    with pytest.raises(AssertionError):
+        colouring.chi_status(12)
 
 
 def test_chi_status_64_descends_to_16():

@@ -121,6 +121,43 @@ def test_y_position_map_is_xor_linear():
             assert (u ^ v) >> 2 == (u >> 2) ^ (v >> 2)
 
 
+# the filters these are derived from, kept as oracles
+
+def y_vertices_by_filter(n):
+    return [a for a in range(1 << n) if a.bit_count() % 2 == 0 and not (a & 1)]
+
+
+def y_neighbours_by_filter(base, n):
+    return sorted(
+        graphs.y_canonical_bits(base ^ w, n)
+        for w in range(1 << n)
+        if w.bit_count() == n // 2 and not ((base ^ w) & 1)
+    )
+
+
+def test_half_weight_words_are_the_connection_set():
+    for n in range(1, 13):
+        want = [w for w in range(1 << n) if adjacent_bits(0, w, n)]
+        assert graphs.half_weight_words(n) == want
+        assert len(want) == graphs.degree_of(n)
+
+
+def test_y_vertices_match_the_filter():
+    for n in (4, 8, 12, 16):
+        assert graphs.y_vertices(n) == y_vertices_by_filter(n)
+
+
+def test_y_neighbours_match_the_filter():
+    rng = random.Random(16)
+    for n, bases in (
+        (8, graphs.y_vertices(8)),
+        (12, rng.sample(graphs.y_vertices(12), 8)),
+        (16, rng.sample(graphs.y_vertices(16), 3)),
+    ):
+        for base in bases:
+            assert graphs.y_neighbours_bits(base, n) == y_neighbours_by_filter(base, n)
+
+
 def test_y_neighbours_are_canonical_and_counted():
     nb = graphs.y_neighbours_bits(0, 8)
     assert len(nb) == 35

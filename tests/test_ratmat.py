@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ortho_lab import ratmat, search, spectral
-from ortho_lab.graphs import y_neighbours_bits, y_vertices
+from ortho_lab.graphs import half_weight_words, y_neighbours_bits, y_vertices
 
 
 # --- the Fraction reference ---------------------------------------------------
@@ -150,7 +150,7 @@ def test_rank_matches_reference_on_gram_matrices(n):
     # kernel_reduce's extended neighbourhood Gram matrix, and the
     # spectrum's Gram matrix G shifted to q*G - p*I for each eigenvalue p/q
     neigh = y_neighbours_bits(0, n)
-    words = spectral._neighbourhood_words(n)
+    words = half_weight_words(n)
     colsign = spectral._column_sign_masks(spectral._sign_row_mask(neigh, n))
     grams = [spectral._sign_gram(colsign + [0], len(neigh))]
     colsign = spectral._column_sign_masks(spectral._sign_row_mask(words, n))

@@ -6,8 +6,8 @@ from math import comb
 
 import pytest
 
-from ortho_lab import spectral
-from ortho_lab.graphs import omega, psi, y_quotient
+from ortho_lab import families, search, spectral
+from ortho_lab.graphs import Family, omega, psi, y_quotient, y_vertices
 
 
 # --- closed-form eigenvalue and bound -----------------------------------------
@@ -53,18 +53,46 @@ def test_wht_requires_power_of_two_length():
         spectral.wht([1, 2, 3])
 
 
+def apply_streaming(kind, vec):
+    """A*vec by summing over each vertex's neighbours, in
+    vertex_order(kind): the oracle for the Walsh spectrum."""
+    n = kind.n
+    if kind.family is Family.OMEGA:
+        return spectral._apply_streaming(n, vec)
+    diffs = [
+        w
+        for w in range(1 << n)
+        if w.bit_count() == n // 2 and not (w & 1)  # canonical differences
+    ]
+    # a ^ d is canonical, at position (a ^ d) >> 2
+    return [sum(vec[(a ^ d) >> 2] for d in diffs) for a in y_vertices(n)]
+
+
+def apply_walsh(kind, vec):
+    """A*vec through the Walsh spectrum: transform, scale entry k by the
+    eigenvalue on character k, transform back and divide by the order."""
+    spectrum = spectral.wht(spectral._connection_indicator(kind))
+    back = spectral.wht([e * x for e, x in zip(spectrum, spectral.wht(vec))])
+    out = []
+    for x in back:
+        q, r = divmod(x, len(vec))
+        assert r == 0
+        out.append(q)
+    return out
+
+
 def test_apply_adjacency_on_all_ones_gives_degree():
+    # character 0 is all ones, so entry 0 of the spectrum is the degree
     for kind in (omega(4), omega(6), omega(8), y_quotient(8)):
         ones = [1] * len(spectral.vertex_order(kind))
-        out = spectral.apply_adjacency(kind, ones)
-        d = comb(kind.n, kind.n // 2)
-        if kind.family.value == "y":
-            d //= 2
-        assert out == [d] * len(ones)
-    # the recursive graph has every word as a vertex, but no Cayley apply
+        d = comb(kind.n, kind.n // 2) // (2 if kind.family is Family.Y else 1)
+        assert spectral.wht(spectral._connection_indicator(kind))[0] == d
+        assert apply_streaming(kind, ones) == [d] * len(ones)
+        assert apply_walsh(kind, ones) == [d] * len(ones)
+    # the recursive graph has every word as a vertex, but no Cayley spectrum
     assert spectral.vertex_order(psi(4)) == list(range(16))
     with pytest.raises(ValueError):
-        spectral.apply_adjacency(psi(4), [1] * 16)
+        spectral._connection_indicator(psi(4))
 
 
 def test_adjacency_strategies_agree_on_random_vectors():
@@ -73,9 +101,48 @@ def test_adjacency_strategies_agree_on_random_vectors():
         size = len(spectral.vertex_order(kind))
         for _ in range(3):
             vec = [rng.randint(-9, 9) for _ in range(size)]
-            fast = spectral.apply_adjacency(kind, vec)
-            slow = spectral._apply_streaming(kind, vec)
-            assert fast == slow
+            assert apply_walsh(kind, vec) == apply_streaming(kind, vec)
+
+
+def test_connection_spectrum_matches_streaming_on_characters():
+    # A's eigenvalue on character k is entry k of the transformed
+    # connection indicator
+    rng = random.Random(22)
+    for kind in (omega(4), omega(6), omega(8), y_quotient(4), y_quotient(8), y_quotient(12)):
+        spectrum = spectral.wht(spectral._connection_indicator(kind))
+        size = len(spectral.vertex_order(kind))
+        ks = range(size) if size <= 64 else [0] + rng.sample(range(1, size), 6)
+        for k in ks:
+            chi = [1 - 2 * ((i & k).bit_count() & 1) for i in range(size)]
+            assert apply_streaming(kind, chi) == [spectrum[k] * x for x in chi]
+
+
+def test_equality_condition_matches_streaming():
+    rng = random.Random(23)
+    tight = search.exhaustive_tight_sets(8)
+    assert len(tight) == 8
+    y8, o8 = y_quotient(8), omega(8)
+    cases = [(y8, t) for t in tight]
+    for t in tight:
+        for shift in rng.sample(y_vertices(8), 2):
+            cases.append((y8, sorted(x ^ shift for x in t)))
+        cases.append((o8, families.lift_members(t, 8)))
+    for _ in range(6):
+        cases.append((y8, rng.sample(y_vertices(8), rng.randint(1, 12))))
+        cases.append((o8, rng.sample(range(256), rng.choice((1, 8, 32)))))
+    seen = set()
+    for kind, members in cases:
+        order = spectral.vertex_order(kind)
+        v, s = len(order), len(members)
+        tau = spectral.least_eigenvalue(kind.n) / (2 if kind.family is Family.Y else 1)
+        u = [v * (w in members) - s for w in order]
+        want = apply_streaming(kind, u) == [tau * x for x in u]
+        assert spectral.equality_condition_check(kind, members) == want
+        seen.add(want)
+    assert seen == {True, False}
+    # the cap comes before any 2^n-entry vector is built
+    with pytest.raises(ValueError):
+        spectral.equality_condition_check(omega(64), [0])
 
 
 # --- tau eigenspace -----------------------------------------------------------
@@ -87,15 +154,6 @@ def test_tau_eigenspace_column_exact():
         assert rep.columns_checked == cols
         assert rep.max_defect == 0
         assert rep.failing_column is None
-
-
-def test_non_eigenvector_is_detected():
-    # a single-vertex indicator is never a tau eigenvector
-    kind = omega(4)
-    e0 = [1] + [0] * 15
-    out = spectral.apply_adjacency(kind, e0)
-    tau = spectral.least_eigenvalue(4)
-    assert out != [tau * x for x in e0]
 
 
 def test_equality_condition_for_tight_and_loose_sets():

@@ -109,7 +109,7 @@ def _retyped(x):
     return [0, "null", False]  # None
 
 
-# -- mutations: each takes (data, env) and returns the mutated file text ------
+# -- mutations: each takes (data, env) and returns the mutated file, text or bytes
 
 def flip_hex_digit(data, env):
     path = data.draw(st.sampled_from(_payload_sites(env, _is_vertex)))
@@ -164,6 +164,13 @@ def truncate(data, env):
     return text[: data.draw(st.integers(0, len(text) - 2))]
 
 
+def overwrite_a_byte(data, env):
+    # certificates are ASCII, so one byte in 0x80-0xff is never UTF-8
+    raw = bytearray(certificates.dumps(env).encode("utf-8"))
+    raw[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.integers(0x80, 0xFF))
+    return bytes(raw)
+
+
 SITES = {
     flip_hex_digit: _is_vertex,
     drop_or_duplicate_vertex: _is_vertex_list,
@@ -171,6 +178,7 @@ SITES = {
     change_a_type: _is_scalar,
     set_envelope_n: None,
     truncate: None,
+    overwrite_a_byte: None,
 }
 
 
@@ -180,7 +188,10 @@ def cert_path(tmp_path_factory):
 
 
 def run_verify(path, text):
-    path.write_text(text, encoding="utf-8")
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text, encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
