@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional, Sequence
 
 from . import search, spectral
@@ -27,7 +28,6 @@ from .graphs import (
     omega,
     y_canonical_bits,
     y_quotient,
-    y_vertices,
 )
 
 
@@ -46,25 +46,12 @@ class FamilyReport:
     raw_count: int
     size: int
     independent: bool
-    independence_method: str
+    independence_method: str  # "pairwise_scan": the transform counts each adjacent pair
     maximal: bool
     maximality_witness: Optional[VertexWord]
     meets_ratio_bound: bool
     quadrupled_size: Optional[int] = None
     quadrupled_meets_bound: Optional[bool] = None
-
-
-def _find_addable(members: Sequence[int], universe: Sequence[int], n: int):
-    """First vertex outside the set adjacent to none of its members, or
-    None if the set is maximal.  A witness certifies non-maximality; the
-    maximal verdict requires the full scan."""
-    mset = set(members)
-    for w in universe:
-        if w in mset:
-            continue
-        if not any(adjacent_bits(w, x, n) for x in members):
-            return w
-    return None
 
 
 def segment_subsets(n: int) -> list[int]:
@@ -90,7 +77,7 @@ def initial_segment_family(n: int) -> FamilyReport:
     canon = sorted({y_canonical_bits(w, n) for w in raw})
     kind = y_quotient(n)
     independent = search.check_independent(canon, kind)
-    witness = _find_addable(canon, y_vertices(n), n)
+    witness = spectral.first_addable(kind, canon)
     bound = spectral.ratio_bound(kind).bound
     return FamilyReport(
         family=FamilyName.INITIAL_SEGMENT,
@@ -109,14 +96,21 @@ def initial_segment_family(n: int) -> FamilyReport:
 
 
 def small_odd_family(n: int) -> FamilyReport:
-    """All subsets of size below n/4 with size not congruent to n/4 mod 2.
-    Any two members differ in fewer than n/2 places, so independence in
-    the full graph is forced; it is still scanned where that is cheap."""
+    """All subsets of size below m = n/4 with size not congruent to m mod 2.
+    Two members differ in at most 2(m-1) < n/2 places, so the family is
+    independent (also read off the transform up to 2000 members) and its
+    smallest non-member, 0 for even m and 1 for odd m, is addable; that
+    witness is rechecked against every member."""
     if n % 4 != 0 or not 8 <= n <= 24:
         raise ValueError("small-odd family defined for n in {8, 12, 16, 20, 24}")
     m = n // 4
-    sizes = [j for j in range(m) if (j - m) % 2]
-    members = [w for w in range(1 << n) if w.bit_count() in sizes]
+    singletons = [1 << i for i in range(n)]
+    members = sorted(
+        sum(subset)
+        for size in range(m)
+        if (size - m) % 2
+        for subset in combinations(singletons, size)
+    )
     kind = omega(n)
     if len(members) <= 2000:
         independent = search.check_independent(members, kind)
@@ -125,7 +119,9 @@ def small_odd_family(n: int) -> FamilyReport:
         # |F xor G| <= |F| + |G| <= 2(m-1) < 2m = n/2
         independent = 2 * (m - 1) < n // 2
         method = "distance_cap"
-    witness = _find_addable(members, range(1 << n), n)
+    witness = m % 2
+    if witness in members or any(adjacent_bits(witness, x, n) for x in members):
+        raise ArithmeticError(f"closed-form witness 0x{witness:x} is not addable")
     bound = spectral.ratio_bound(kind).bound
     return FamilyReport(
         family=FamilyName.SMALL_ODD,
@@ -137,8 +133,8 @@ def small_odd_family(n: int) -> FamilyReport:
         size=len(members),
         independent=independent,
         independence_method=method,
-        maximal=witness is None,
-        maximality_witness=None if witness is None else VertexWord(witness, n),
+        maximal=False,
+        maximality_witness=VertexWord(witness, n),
         meets_ratio_bound=len(members) == bound,
         quadrupled_size=4 * len(members),
         quadrupled_meets_bound=4 * len(members) == bound,

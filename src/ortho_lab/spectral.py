@@ -8,9 +8,10 @@ direct computation rather than quoting them.
 The adjacency operator is never materialized.  The full graph and the
 quotient are Cayley graphs on an elementary abelian 2-group, so the
 Walsh transform diagonalizes adjacency and the transform of the
-connection indicator is the whole spectrum; the ratio-bound equality
-test is read off it.  The tau-eigenspace is checked independently, by
-summing each character column over every vertex's neighbours.
+connection indicator is the whole spectrum; independence, maximality
+and the ratio-bound equality test are read off it.  The tau-eigenspace
+is checked independently, by summing each character column over every
+vertex's neighbours.
 
 Sign matrices over pairs are built as one 0/1 numpy table
 (``_sign_row_mask``: a row per word, a column per 2-subset, 1 where the
@@ -32,9 +33,10 @@ from . import ratmat
 from .graphs import (
     Family,
     GraphKind,
-    adjacent_bits,
     full_mask,
     half_weight_words,
+    is_y_canonical,
+    y_neighbours_bits,
     y_vertices,
 )
 
@@ -104,22 +106,25 @@ def character_column(p_mask: int, vertices: Sequence[int]) -> list[int]:
 
 # -- the Walsh spectrum and neighbour streaming -------------------------------
 
-def wht(vec: Sequence[int]) -> list[int]:
-    """In-place-style Walsh-Hadamard transform; exact on ints.
-    Unnormalized: applying twice multiplies by len(vec)."""
-    v = list(vec)
-    m = len(v)
+def wht(vec: Sequence[int]) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform as a numpy butterfly, exact:
+    no output exceeds len * max|entry|, so it runs in int64 below 2^63
+    and on Python ints past that.  Applying it twice multiplies by
+    len(vec)."""
+    m = len(vec)
     if m & (m - 1):
         raise ValueError("length must be a power of two")
+    try:
+        x = np.array(vec, dtype=np.int64)
+    except OverflowError:
+        x = np.array(vec, dtype=object)
+    x = x.astype(ratmat._exact(m * ratmat._absmax(x)), copy=False)
     h = 1
     while h < m:
-        for i in range(0, m, h * 2):
-            for j in range(i, i + h):
-                a, b = v[j], v[j + h]
-                v[j] = a + b
-                v[j + h] = a - b
+        a, b = x.reshape(-1, 2, h).transpose(1, 0, 2)
+        x = np.stack((a + b, a - b), axis=1).ravel()
         h *= 2
-    return v
+    return x
 
 
 def vertex_order(kind: GraphKind) -> list[int]:
@@ -133,13 +138,42 @@ def vertex_order(kind: GraphKind) -> list[int]:
     return list(range(1 << kind.n))
 
 
-def _connection_indicator(kind: GraphKind) -> list[int]:
-    """The 0/1 indicator of the connection set in vertex_order(kind).
-    Its transform is the adjacency spectrum: A's eigenvalue on character
-    k is entry k."""
-    if kind.family is Family.PSI:
-        raise ValueError("the spectrum covers the full graph and the quotient")
-    return [int(adjacent_bits(0, w, kind.n)) for w in vertex_order(kind)]
+def indicator(kind: GraphKind, members: Sequence[int]) -> np.ndarray:
+    """The 0/1 int64 indicator of a vertex set in vertex_order(kind): the
+    word w at position w, or w >> 2 in the quotient.  Duplicates, words
+    that are not vertices, the recursive graph and n above 16 are input
+    errors."""
+    n = kind.n
+    if kind.family is Family.PSI or n > 16:
+        raise ValueError("set transforms need the full graph or the quotient, n <= 16")
+    if len(set(members)) != len(members):
+        raise ValueError("duplicate vertices")
+    shift = 2 if kind.family is Family.Y else 0
+    for b in members:
+        if not 0 <= b < 1 << n or (shift and not is_y_canonical(b, n)):
+            raise ValueError(f"0x{b:x} is not a vertex of this graph")
+    z = np.zeros(1 << (n - shift), dtype=np.int64)
+    z[np.array(members, dtype=np.int64) >> shift] = 1
+    return z
+
+
+def adjacency_spectrum(kind: GraphKind) -> np.ndarray:
+    """A's eigenvalue on every character: the transform of the connection
+    set's indicator, whose entry k is the eigenvalue on character k."""
+    n = kind.n
+    diffs = y_neighbours_bits(0, n) if kind.family is Family.Y else half_weight_words(n)
+    return wht(indicator(kind, diffs))
+
+
+def first_addable(kind: GraphKind, members: Sequence[int]) -> Optional[int]:
+    """First vertex outside the set adjacent to none of its members, or
+    None if the set is maximal.  One convolution: wht(zhat * lambda) is v
+    times each vertex's count of member neighbours (exact in int64, since
+    |zhat|, |lambda| <= 2^16)."""
+    z = indicator(kind, members)
+    counts = wht(wht(z) * adjacency_spectrum(kind))
+    free = np.flatnonzero((counts == 0) & (z == 0))
+    return vertex_order(kind)[free[0]] if free.size else None
 
 
 def _apply_streaming(n: int, vec: Sequence) -> list:
@@ -203,22 +237,11 @@ def equality_condition_check(kind: GraphKind, members: Sequence[int]) -> bool:
     that spectrum differs from tau.  Holds exactly when S attains the
     bound; fails otherwise.
     """
-    if kind.n > 16:
-        raise ValueError("exhaustive equality test capped at n = 16")
-    order = vertex_order(kind)
-    pos = {w: k for k, w in enumerate(order)}
-    if len(set(members)) != len(members):
-        raise ValueError("duplicate members")
-    z = [0] * len(order)
-    for b in members:
-        if b not in pos:
-            raise ValueError(f"0x{b:x} is not a vertex of this graph")
-        z[pos[b]] = 1
-    v, s = len(order), len(members)
+    z = indicator(kind, members)
+    v, s = z.size, len(members)
     tau = ratio_bound(kind).least_eigenvalue
-    spectrum = wht(_connection_indicator(kind))
-    u_hat = wht([v * zi - s for zi in z])
-    return all(x == 0 for e, x in zip(spectrum, u_hat) if e != tau)
+    off_tau = adjacency_spectrum(kind) * tau.denominator != tau.numerator
+    return not wht(v * z - s)[off_tau].any()
 
 
 # -- neighbourhood sign-matrix identities --------------------------------------

@@ -403,6 +403,19 @@ def test_psi_colouring_16_certificate_bytes_are_pinned(tmp_path, capsys):
         ),
         (["status", "--n", "12"], "3fb03a864191b18f7df3249ebeba56612277fe255f038036ce3bb1796e4d28c7"),
         (["colour", "--n", "8"], "b61749a168829b4601ed40c8998b81b9a125f49d9f685f6735ec7a614bb7a47b"),
+        (
+            ["families", "--n", "16", "--which", "segment"],
+            "739bbd4d7f6f986f7d7a61823cffcb8dc2d13a2c5fd1b64f09c8b42cea1d2f91",
+        ),
+        (
+            ["families", "--n", "16", "--which", "odd"],
+            "d151e0909259b1c253e6134452cadd2d41ab1e215e6b0d87d13b8a5790a1941a",
+        ),
+        (
+            ["families", "--n", "24", "--which", "odd"],
+            "6c21906b76f18169e247d2fe3cca89f5e996e7af491a14909a8c7252a0c96e86",
+        ),
+        (["colour", "--n", "10"], "7dbf21d210d9bde9deac43f7e8d89ddb27af4ecb8013cad349317f84d231bdb2"),
     ],
     ids=(
         "search4",
@@ -416,6 +429,10 @@ def test_psi_colouring_16_certificate_bytes_are_pinned(tmp_path, capsys):
         "m2k12",
         "status12",
         "colour8",
+        "segment16",
+        "odd16",
+        "odd24",
+        "colour10",
     ),
 )
 def test_certificate_bytes_are_pinned(tmp_path, capsys, argv, digest):

@@ -44,16 +44,6 @@ def test_verify_clique_detects_non_adjacent_pair():
     assert not colouring.verify_clique(bad)
 
 
-def test_translate_disjointness():
-    outcome = search.enumerate_candidates(8)
-    lifted = families.lift_members(
-        [v.bits for v in outcome.certificates[0].vertices], 8
-    )
-    assert colouring.translate_disjointness(lifted, colouring.sylvester_clique(3))
-    with pytest.raises(ValueError):
-        colouring.translate_disjointness([0, 0b00001111], colouring.sylvester_clique(3))
-
-
 # --- colourings ---------------------------------------------------------------
 
 def test_normal_cayley_colouring_n8():

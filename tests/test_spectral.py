@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
 from ortho_lab import families, search, spectral
@@ -44,8 +45,36 @@ def test_ratio_bound_quotient_is_a_quarter():
 def test_wht_is_an_involution_up_to_scale():
     rng = random.Random(21)
     vec = [rng.randint(-50, 50) for _ in range(64)]
-    twice = spectral.wht(spectral.wht(vec))
-    assert twice == [64 * x for x in vec]
+    big = [x << 70 for x in vec]
+    for arg in (vec, np.array(vec, dtype=np.int64), np.array(vec, dtype=object), big):
+        twice = spectral.wht(spectral.wht(arg))
+        assert twice.tolist() == [64 * x for x in arg]
+
+
+def python_wht(vec):
+    """The butterfly on Python ints, one pair at a time: the oracle for
+    the numpy transform."""
+    v = list(vec)
+    h = 1
+    while h < len(v):
+        for i in range(0, len(v), 2 * h):
+            for j in range(i, i + h):
+                v[j], v[j + h] = v[j] + v[j + h], v[j] - v[j + h]
+        h *= 2
+    return v
+
+
+def test_wht_matches_python_butterfly():
+    rng = random.Random(24)
+    cases = [
+        [rng.randint(-(10**6), 10**6) for _ in range(size)] for size in (1, 2, 8, 256)
+    ]
+    # every entry fits int64, but the outputs pass 2^63
+    near = [2**62 + 1, 2**62 + 3, 2**62 - 5, 2**62 + 7]
+    assert max(map(abs, python_wht(near))) >= 2**63
+    for vec in cases + [near]:
+        assert spectral.wht(vec).tolist() == python_wht(vec)
+        assert spectral.wht(np.array(vec, dtype=np.int64)).tolist() == python_wht(vec)
 
 
 def test_wht_requires_power_of_two_length():
@@ -71,8 +100,7 @@ def apply_streaming(kind, vec):
 def apply_walsh(kind, vec):
     """A*vec through the Walsh spectrum: transform, scale entry k by the
     eigenvalue on character k, transform back and divide by the order."""
-    spectrum = spectral.wht(spectral._connection_indicator(kind))
-    back = spectral.wht([e * x for e, x in zip(spectrum, spectral.wht(vec))])
+    back = spectral.wht(spectral.adjacency_spectrum(kind) * spectral.wht(vec)).tolist()
     out = []
     for x in back:
         q, r = divmod(x, len(vec))
@@ -86,13 +114,13 @@ def test_apply_adjacency_on_all_ones_gives_degree():
     for kind in (omega(4), omega(6), omega(8), y_quotient(8)):
         ones = [1] * len(spectral.vertex_order(kind))
         d = comb(kind.n, kind.n // 2) // (2 if kind.family is Family.Y else 1)
-        assert spectral.wht(spectral._connection_indicator(kind))[0] == d
+        assert spectral.adjacency_spectrum(kind)[0] == d
         assert apply_streaming(kind, ones) == [d] * len(ones)
         assert apply_walsh(kind, ones) == [d] * len(ones)
     # the recursive graph has every word as a vertex, but no Cayley spectrum
     assert spectral.vertex_order(psi(4)) == list(range(16))
     with pytest.raises(ValueError):
-        spectral._connection_indicator(psi(4))
+        spectral.adjacency_spectrum(psi(4))
 
 
 def test_adjacency_strategies_agree_on_random_vectors():
@@ -109,7 +137,7 @@ def test_connection_spectrum_matches_streaming_on_characters():
     # connection indicator
     rng = random.Random(22)
     for kind in (omega(4), omega(6), omega(8), y_quotient(4), y_quotient(8), y_quotient(12)):
-        spectrum = spectral.wht(spectral._connection_indicator(kind))
+        spectrum = spectral.adjacency_spectrum(kind).tolist()
         size = len(spectral.vertex_order(kind))
         ks = range(size) if size <= 64 else [0] + rng.sample(range(1, size), 6)
         for k in ks:
