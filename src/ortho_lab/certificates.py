@@ -44,8 +44,12 @@ def frac(x: Fraction) -> str:
     return str(Fraction(x))
 
 
+def word(bits: int, n: int) -> dict:
+    return {"bits": format(bits, f"0{(n + 3) // 4}x"), "n": n}
+
+
 def vertex(v: VertexWord) -> dict:
-    return {"bits": v.hex(), "n": v.n}
+    return word(v.bits, v.n)
 
 
 def strict_int(x, what: str) -> int:
@@ -54,10 +58,6 @@ def strict_int(x, what: str) -> int:
     if type(x) is not int:
         raise ValueError(f"{what} must be a JSON integer, got {x!r}")
     return x
-
-
-def decode_vertex(obj: dict) -> VertexWord:
-    return VertexWord.from_hex(obj["bits"], strict_int(obj["n"], "vertex n"))
 
 
 def graph_kind(kind: GraphKind) -> dict:
@@ -183,10 +183,11 @@ def indset_payload(cert: search_mod.IndSetCertificate, base: VertexWord) -> dict
 
 
 def colouring_payload(cert: colouring_mod.ColouringCertificate) -> dict:
+    n = cert.kind.n
     return {
         "kind": graph_kind(cert.kind),
         "palette_size": cert.palette_size,
-        "classes": [[vertex(v) for v in cls] for cls in cert.classes],
+        "classes": [[word(w, n) for w in cls] for cls in cert.word_classes()],
     }
 
 
@@ -287,13 +288,23 @@ def status_payload(report: colouring_mod.ChiStatusReport) -> dict:
 # -- the decoder used by the verifier ------------------------------------------
 
 def decode_colouring(payload: dict) -> colouring_mod.ColouringCertificate:
+    """Class i gives colour i to its words.  A word out of range, of
+    another dimension or listed twice leaves some word at -1 and an empty
+    class leaves a colour unused, which `verify_colouring` refuses."""
     kind = decode_kind(payload["kind"])
-    classes = tuple(
-        tuple(decode_vertex(v) for v in cls) for cls in payload["classes"]
-    )
+    classes = payload["classes"]
+    colour = []
+    # the closed-form count first, so a forged large n allocates nothing
+    if sum(map(len, classes)) == 1 << kind.n:
+        colour = [-1] * (1 << kind.n)
+        for ci, cls in enumerate(classes):
+            for v in cls:
+                bits = int(v["bits"], 16)
+                if strict_int(v["n"], "vertex n") == kind.n and 0 <= bits < len(colour):
+                    colour[bits] = ci
     return colouring_mod.ColouringCertificate(
         kind=kind,
-        classes=classes,
+        colour=tuple(colour),
         palette_size=strict_int(payload["palette_size"], "palette_size"),
     )
 

@@ -135,7 +135,7 @@ def _emitting_options(kind: str, n: int, payload: dict) -> argparse.Namespace:
 
 def _recheck(kind: str, n: int, payload: dict) -> list[str]:
     if kind == "colouring":
-        # a witness: any proper colouring passes, so decode and recheck it
+        # a witness: any proper colouring passes if every class lists its words ascending
         problems = []
         cert = certificates.decode_colouring(payload)
         if not colouring.verify_colouring(cert):

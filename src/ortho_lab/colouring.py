@@ -1,15 +1,16 @@
 """Cliques, translate colourings, the recursive colouring, and the
 chromatic verdict for every dimension up to 64.
 
-The group is sign multiplication of +-1 words, i.e. XOR on bit words, so
-translates of an independent set by the members of a clique are pairwise
-disjoint, and when sizes multiply to the vertex count they partition it
-into colour classes.
+A colouring is one colour in 0..palette_size-1 per word, in a tuple
+indexed by the word, from emitter to verifier.  The group is sign
+multiplication of +-1 words, i.e. XOR on bit words, so translates of an
+independent set by the members of a clique are pairwise disjoint, and
+when sizes multiply to the vertex count each word gets one colour.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -72,45 +73,50 @@ def sylvester_clique(k: int) -> CliqueCertificate:
 @dataclass(frozen=True)
 class ColouringCertificate:
     kind: GraphKind
-    classes: tuple[tuple[VertexWord, ...], ...]
+    colour: tuple[int, ...]  # colour[w] is the colour of the word w
     palette_size: int
+
+    def word_classes(self) -> list[list[int]]:
+        """The words of each colour 0..palette_size-1, ascending."""
+        classes: list[list[int]] = [[] for _ in range(self.palette_size)]
+        for w, c in enumerate(self.colour):
+            classes[c].append(w)
+        return classes
+
+    @property
+    def classes(self) -> tuple[tuple[VertexWord, ...], ...]:
+        """The colour classes as vertex words, for the acceptance tests."""
+        n = self.kind.n
+        return tuple(tuple(VertexWord(w, n) for w in c) for c in self.word_classes())
 
 
 def verify_colouring(cert: ColouringCertificate) -> bool:
-    """Recheck the partition and every class from scratch.  Only the
-    graphs `colour` emits colourings of, the full graph and the recursive
-    graph, are accepted, and every colour in the palette must be used.
-    For the recursive graph the classes are checked by the doubling
+    """Recheck the colouring from scratch.  Only the graphs `colour`
+    emits colourings of, the full graph and the recursive graph, are
+    accepted, and the colours used must be exactly 0..palette_size-1.
+    For the recursive graph the colouring is checked by the doubling
     recursion; otherwise each class gets a pairwise non-adjacency scan
     (one transform per class would cost palette * 2^n)."""
     kind = cert.kind
     n = kind.n
-    if kind.family is Family.Y or cert.palette_size != len(cert.classes):
+    colour = cert.colour
+    if kind.family is Family.Y or len(colour) != 1 << n:
         return False
-    # the closed-form count first, so a forged large n allocates nothing
-    if sum(map(len, cert.classes)) != 1 << n:
+    # read off the set of used colours, so a forged palette size costs nothing
+    used = set(colour)
+    if (len(used), min(used), max(used)) != (cert.palette_size, 0, cert.palette_size - 1):
         return False
-    # with the count right, a colour for every word once means a partition
-    colour = [-1] * (1 << n)
-    for ci, cls in enumerate(cert.classes):
-        if not cls:
-            return False
-        for v in cls:
-            if v.n != n or colour[v.bits] >= 0:
-                return False
-            colour[v.bits] = ci
     if kind.family is Family.PSI:
         return _psi_proper(colour, n, list(psi_edges(min(n, 4))))
-    for cls in cert.classes:
-        bits = [v.bits for v in cls]
-        for i, u in enumerate(bits):
-            for w in bits[i + 1 :]:
+    for cls in cert.word_classes():
+        for i, u in enumerate(cls):
+            for w in cls[i + 1 :]:
                 if adjacent_bits(u, w, n):
                     return False
     return True
 
 
-def _psi_proper(colour: list[int], n: int, base_edges: list[tuple[int, int]]) -> bool:
+def _psi_proper(colour: Sequence[int], n: int, base_edges: list[tuple[int, int]]) -> bool:
     """True iff no edge of the recursive graph on n-bit words joins two
     words of the same colour, where colour is indexed by word.
 
@@ -136,20 +142,19 @@ def normal_cayley_colouring(
     s_vertices: Sequence[int], clique: CliqueCertificate
 ) -> ColouringCertificate:
     """Colour classes are the translates of the independent set by the
-    clique members; sizes must multiply to the vertex count."""
+    clique members, coloured in the order of their least words; sizes
+    must multiply to the vertex count."""
     n = clique.n
     if len(s_vertices) * clique.size != 1 << n:
         raise ValueError("set size times clique size must equal the vertex count")
-    classes = sorted(
-        tuple(sorted(VertexWord(x ^ c.bits, n) for x in s_vertices))
-        for c in clique.vertices
-    )
-    # sizes multiply to 2^n: the translates are disjoint iff they cover every word
-    if len({w for cls in classes for w in cls}) != 1 << n:
-        raise ValueError("translates overlap")
-    cert = ColouringCertificate(
-        kind=omega(n), classes=tuple(classes), palette_size=len(classes)
-    )
+    translates = sorted(([x ^ c.bits for x in s_vertices] for c in clique.vertices), key=min)
+    colour = [-1] * (1 << n)
+    for ci, words in enumerate(translates):
+        for w in words:
+            if not 0 <= w < len(colour) or colour[w] >= 0:
+                raise ValueError("translates overlap or leave the n-bit words")
+            colour[w] = ci
+    cert = ColouringCertificate(omega(n), tuple(colour), len(translates))
     if not verify_colouring(cert):
         raise AssertionError("translate classes failed re-verification")
     return cert
@@ -162,9 +167,8 @@ def bipartite_colouring(n: int) -> ColouringCertificate:
         raise ValueError("parity colouring needs n = 2 mod 4")
     if n > 10:
         raise ValueError("materialized verification capped at n = 10")
-    evens = tuple(VertexWord(w, n) for w in range(1 << n) if w.bit_count() % 2 == 0)
-    odds = tuple(VertexWord(w, n) for w in range(1 << n) if w.bit_count() % 2 == 1)
-    cert = ColouringCertificate(kind=omega(n), classes=(evens, odds), palette_size=2)
+    parity = tuple(w.bit_count() & 1 for w in range(1 << n))
+    cert = ColouringCertificate(kind=omega(n), colour=parity, palette_size=2)
     if not verify_colouring(cert):
         raise AssertionError("parity classes failed re-verification")
     return cert
@@ -193,12 +197,7 @@ def psi_colouring(k: int) -> ColouringCertificate:
         raise ValueError("materialized colourings capped at k = 4")
     n = 1 << k
     cmap, palette = _psi_colour_map(n)
-    # words go in ascending, so each class comes out sorted
-    buckets: list[list[VertexWord]] = [[] for _ in range(palette)]
-    for w, c in enumerate(cmap):
-        buckets[c].append(VertexWord(w, n))
-    classes = tuple(map(tuple, buckets))
-    cert = ColouringCertificate(kind=psi(n), classes=classes, palette_size=palette)
+    cert = ColouringCertificate(kind=psi(n), colour=tuple(cmap), palette_size=palette)
     if not verify_colouring(cert):
         raise AssertionError("recursive colouring failed the doubling check")
     return cert
@@ -210,10 +209,7 @@ def omega_colouring(n: int) -> ColouringCertificate:
     n = 4 the recursive graph is the whole graph, so its colouring is
     relabelled and rechecked against full-graph adjacency."""
     if n in (1, 2, 4):
-        inner = psi_colouring(n.bit_length() - 1)
-        cert = ColouringCertificate(
-            kind=omega(n), classes=inner.classes, palette_size=inner.palette_size
-        )
+        cert = replace(psi_colouring(n.bit_length() - 1), kind=omega(n))
         if not verify_colouring(cert):
             raise AssertionError("recursive classes failed full-graph check")
         return cert

@@ -38,13 +38,6 @@ class VertexWord:
         if self.bits < 0 or self.bits >> self.n:
             raise ValueError(f"bits 0x{self.bits:x} out of range for n={self.n}")
 
-    def hex(self) -> str:
-        return format(self.bits, f"0{(self.n + 3) // 4}x")
-
-    @classmethod
-    def from_hex(cls, s: str, n: int) -> "VertexWord":
-        return cls(int(s, 16), n)
-
 
 class Family(Enum):
     OMEGA = "omega"

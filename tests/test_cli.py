@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -57,8 +58,6 @@ def test_envelope_shape():
 def test_vertex_encoding_uses_fixed_width_hex():
     assert certificates.vertex(VertexWord(10, 8)) == {"bits": "0a", "n": 8}
     assert certificates.vertex(VertexWord(5, 12)) == {"bits": "005", "n": 12}
-    v = certificates.decode_vertex({"bits": "0a", "n": 8})
-    assert v == VertexWord(10, 8)
 
 
 def test_validate_envelope_rejects_malformed_objects():
@@ -236,12 +235,47 @@ def test_verify_rejects_spectrum_no_command_emits(tmp_path, capsys):
 
 
 def _colouring_envelope(family, n, classes, palette_size):
+    # a class member is a word, or a vertex object written as it stands
     payload = {
         "kind": {"family": family, "n": n},
         "palette_size": palette_size,
-        "classes": [[certificates.vertex(VertexWord(w, n)) for w in cls] for cls in classes],
+        "classes": [
+            [v if isinstance(v, dict) else certificates.word(v, n) for v in cls]
+            for cls in classes
+        ],
     }
     return certificates.dumps(certificates.envelope("colouring", n, payload))
+
+
+@pytest.mark.parametrize(
+    "first, palette_size",
+    [
+        (1, 4),  # word 1 twice, word 0 never: the count still matches
+        ({"bits": "00", "n": 8}, 4),
+        (16, 4),
+        (-1, 4),  # bits "-1"
+        ({"bits": 0, "n": 4}, 4),
+        (0, 1 << 62),
+    ],
+    ids=["duplicate", "vertex-n", "out-of-range", "minus-one", "bits-not-string", "palette-2^62"],
+)
+def test_verify_rejects_forged_colouring_words(tmp_path, capsys, first, palette_size):
+    classes = colouring.omega_colouring(4).word_classes()
+    classes[0][0] = first  # in place of word 0
+    start = time.perf_counter()
+    text = _colouring_envelope("omega", 4, classes, palette_size)
+    assert_one_fail(*verify_text(tmp_path, capsys, text))
+    assert time.perf_counter() - start < 2  # nothing is built per palette colour
+
+
+def test_verify_needs_each_class_ascending(tmp_path, capsys):
+    # the order of the classes only renames the colours
+    classes = colouring.omega_colouring(4).word_classes()
+    classes[0], classes[1] = classes[1], classes[0]
+    code, out, _ = verify_text(tmp_path, capsys, _colouring_envelope("omega", 4, classes, 4))
+    assert code == 0 and out.startswith("OK")
+    classes[0][:2] = classes[0][1::-1]
+    assert_one_fail(*verify_text(tmp_path, capsys, _colouring_envelope("omega", 4, classes, 4)))
 
 
 def test_verify_rejects_tiny_forged_colouring_of_a_huge_graph(tmp_path, capsys):
@@ -416,6 +450,30 @@ def test_psi_colouring_16_certificate_bytes_are_pinned(tmp_path, capsys):
             "6c21906b76f18169e247d2fe3cca89f5e996e7af491a14909a8c7252a0c96e86",
         ),
         (["colour", "--n", "10"], "7dbf21d210d9bde9deac43f7e8d89ddb27af4ecb8013cad349317f84d231bdb2"),
+        (["colour", "--n", "1"], "24a4b430e8af73493b1a751a7da4da3acacf4718ba5982bc9d13431f887b6259"),
+        (["colour", "--n", "2"], "a9015039629496bf2a4d0be745dd5901bcd12b75cd0b3a4f01f4193448445236"),
+        (["colour", "--n", "4"], "b080950e31714571bcf702867989151bcf1d4db7bb3a9d43610cf52b9809f398"),
+        (["colour", "--n", "6"], "f3cf0f9616a8ecee18549357c7964ac98145ee9703fa40c13e76bc54412e82c0"),
+        (
+            ["colour", "--graph", "psi", "--n", "1"],
+            "4b926ee9d66f6cf61633ce1fdf4ea4838a80cf218a895c533bd462c3a7019fb0",
+        ),
+        (
+            ["colour", "--graph", "psi", "--n", "2"],
+            "ae02fe64ce1c7159ce0d139c797c0ea98ce1ba85812140aea35b180450f8b902",
+        ),
+        (
+            ["colour", "--graph", "psi", "--n", "4"],
+            "7ee18192e5dbc4a3e432afcbc60e36369d82eddab187519af579dabbd19401e9",
+        ),
+        (
+            ["colour", "--graph", "psi", "--n", "8"],
+            "9603102bfb3772b1d4e21343f1ede358f5d04bc4a99a8eb470c0e22843503cbc",
+        ),
+        (["status", "--n", "1"], "9a9229d3b8340aaba68aaa5e1af3a7c1a86a481db7053078fbb7f373a8706c21"),
+        (["status", "--n", "2"], "a2601db8dc16be8692b8e8578267b7ab6b7f83d5eb41fb5e62c6322bca9b2f8a"),
+        (["status", "--n", "4"], "d720e3c171dae820e432270dec8dc7701e0b662a06ff3c89fb738a7498dffc49"),
+        (["status", "--n", "8"], "ddf8656fc00030f7767769b565b4ca3a74102de2d4aea231cf76ba750e79ef01"),
     ],
     ids=(
         "search4",
@@ -433,6 +491,9 @@ def test_psi_colouring_16_certificate_bytes_are_pinned(tmp_path, capsys):
         "odd16",
         "odd24",
         "colour10",
+        *("colour1", "colour2", "colour4", "colour6"),
+        *("psi1", "psi2", "psi4", "psi8"),
+        *("status1", "status2", "status4", "status8"),
     ),
 )
 def test_certificate_bytes_are_pinned(tmp_path, capsys, argv, digest):

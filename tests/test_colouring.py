@@ -53,7 +53,7 @@ def test_normal_cayley_colouring_n8():
     )
     cert = colouring.normal_cayley_colouring(lifted, colouring.sylvester_clique(3))
     assert cert.palette_size == 8
-    assert all(len(cls) == 32 for cls in cert.classes)
+    assert all(cert.colour.count(c) == 32 for c in range(8))
     assert colouring.verify_colouring(cert)
 
 
@@ -78,37 +78,14 @@ def test_psi_colouring_small_orders():
         assert colouring.verify_colouring(cert)
 
 
-def _psi_certificate(colour, words):
-    """A colouring certificate of the recursive graph from one colour per
-    word; unused colours are dropped, so no class is empty."""
-    used = sorted(set(colour))
-    index = {c: i for i, c in enumerate(used)}
-    classes = [[] for _ in used]
-    for w, c in enumerate(colour):
-        classes[index[c]].append(words[w])
-    n = words[0].n
-    return colouring.ColouringCertificate(
-        kind=psi(n), classes=tuple(map(tuple, classes)), palette_size=len(used)
-    )
-
-
-def _colour_list(cert):
-    colour = [0] * sum(map(len, cert.classes))
-    for ci, cls in enumerate(cert.classes):
-        for v in cls:
-            colour[v.bits] = ci
-    return colour
-
-
 def test_doubling_check_matches_the_edge_stream():
     # the streamed edges are the slow exact oracle for the doubling check
     rng = random.Random(6)
     outcomes = set()
     for k in (1, 2, 3):
         n = 1 << k
-        words = [VertexWord(w, n) for w in range(1 << n)]
         edges = list(psi_edges(n))
-        real = _colour_list(colouring.psi_colouring(k))
+        real = list(colouring.psi_colouring(k).colour)
         palette = list(range(n))
         rng.shuffle(palette)
         colourings = [[palette[c] for c in real]]
@@ -121,16 +98,19 @@ def test_doubling_check_matches_the_edge_stream():
             colourings.append([rng.randrange(p) for _ in range(1 << n)])
         for colour in colourings:
             proper = all(colour[u] != colour[v] for u, v in edges)
-            assert colouring.verify_colouring(_psi_certificate(colour, words)) is proper
+            # renumber the colours used as 0..p-1, so every colour is used
+            used = sorted(set(colour))
+            dense = tuple(used.index(c) for c in colour)
+            cert = colouring.ColouringCertificate(psi(n), dense, len(used))
+            assert colouring.verify_colouring(cert) is proper
             outcomes.add(proper)
     assert outcomes == {True, False}
 
 
 def test_doubling_check_rejects_recoloured_psi_16():
     rng = random.Random(16)
-    words = [VertexWord(w, 16) for w in range(1 << 16)]
-    real = _colour_list(colouring.psi_colouring(4))
-    assert colouring.verify_colouring(_psi_certificate(real, words))
+    real = colouring.psi_colouring(4).colour
+    assert colouring.verify_colouring(colouring.ColouringCertificate(psi(16), real, 16))
     inner = list(psi_edges(8))
     for i in range(5):
         x, r = rng.randrange(256), rng.randrange(256)
@@ -144,7 +124,8 @@ def test_doubling_check_rejects_recoloured_psi_16():
         assert adjacent_bits(w, u, 16)
         colour = list(real)
         colour[w] = colour[u]
-        assert not colouring.verify_colouring(_psi_certificate(colour, words))
+        cert = colouring.ColouringCertificate(psi(16), tuple(colour), 16)
+        assert not colouring.verify_colouring(cert)
 
 
 def test_omega_colouring_dimensions():
@@ -161,30 +142,26 @@ def test_omega_colouring_dimensions():
 
 def test_verify_colouring_rejects_broken_partition():
     cert = colouring.omega_colouring(4)
-    first = cert.classes[0]
-    for classes in (
-        # drop one vertex
-        (first[1:],) + cert.classes[1:],
-        # duplicate one vertex in place of another: the count still matches
-        ((first[1],) + first[1:],) + cert.classes[1:],
+    colour, p = cert.colour, cert.palette_size
+    for wrong, palette in (
+        (colour[1:], p),  # the wrong length
+        ((-1,) + colour[1:], p),
+        ((p,) + colour[1:], p),  # a colour beyond the palette
+        (colour, p + 1),  # an unused colour
     ):
-        broken = colouring.ColouringCertificate(
-            kind=cert.kind, classes=classes, palette_size=cert.palette_size
-        )
+        broken = colouring.ColouringCertificate(cert.kind, wrong, palette)
         assert not colouring.verify_colouring(broken)
 
 
 def test_verify_colouring_rejects_merged_classes():
     cert = colouring.omega_colouring(8)
-    merged = (cert.classes[0] + cert.classes[1],) + cert.classes[2:]
-    broken = colouring.ColouringCertificate(
-        kind=cert.kind, classes=merged, palette_size=len(merged)
-    )
+    merged = tuple(max(c - 1, 0) for c in cert.colour)  # colours 0 and 1 become 0
+    broken = colouring.ColouringCertificate(cert.kind, merged, cert.palette_size - 1)
     assert not colouring.verify_colouring(broken)
 
 
 def test_colouring_classes_really_avoid_all_edges():
-    colour = _colour_list(colouring.omega_colouring(8))
+    colour = colouring.omega_colouring(8).colour
     bad = sum(
         1
         for u in range(256)

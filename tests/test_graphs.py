@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from ortho_lab import graphs
+from ortho_lab import certificates, graphs
 from ortho_lab.graphs import (
     Family,
     VertexWord,
@@ -20,12 +20,9 @@ from ortho_lab.graphs import (
 # --- vertex words -------------------------------------------------------------
 
 def test_vertex_word_hex_round_trip():
-    v = VertexWord(0xAB, 8)
-    assert v.hex() == "ab"
-    assert VertexWord.from_hex("ab", 8) == v
-    w = VertexWord(5, 12)
-    assert w.hex() == "005"
-    assert VertexWord.from_hex(w.hex(), 12) == w
+    # the hex of a bare word, as colouring payloads write it
+    assert certificates.word(0xAB, 8) == {"bits": "ab", "n": 8}
+    assert certificates.word(5, 12) == {"bits": "005", "n": 12}
 
 
 def test_vertex_word_rejects_out_of_range():

@@ -1,6 +1,10 @@
-"""Set facts come from the Walsh transform, so pairwise adjacency scans
-do not grow back: in the package, ``adjacent_bits`` is called only from
-the functions below."""
+"""AST guards on the package.
+
+Set facts come from the Walsh transform, so pairwise adjacency scans do
+not grow back: ``adjacent_bits`` is called only from the functions in
+ALLOWED.  A colouring is one colour list from emitter to verifier, so
+no function that takes or returns a colouring certificate builds a
+``VertexWord``, directly or through the certificate's ``classes``."""
 
 import ast
 from pathlib import Path
@@ -14,22 +18,49 @@ ALLOWED = {
     "small_odd_family",  # rechecks one witness against every member
 }
 
+# colour-list helpers whose signatures do not name the certificate
+COLOURING_HELPERS = {"word_classes", "_psi_colour_map", "_psi_proper"}
+
+
+def _top_level():
+    package = Path(ortho_lab.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            yield path.name, top
+
+
+def _name(node):
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
 
 def _callers() -> set[str]:
-    package = Path(ortho_lab.__file__).resolve().parent
     found = set()
-    for path in sorted(package.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for top in tree.body:
-            for node in ast.walk(top):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                name = getattr(func, "id", None) or getattr(func, "attr", None)
-                if name == "adjacent_bits":
-                    found.add(getattr(top, "name", f"{path.name}:{node.lineno}"))
+    for file_name, top in _top_level():
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and _name(node.func) == "adjacent_bits":
+                found.add(getattr(top, "name", f"{file_name}:{node.lineno}"))
     return found
 
 
 def test_adjacent_bits_is_called_only_from_the_allowlist():
     assert _callers() <= ALLOWED
+
+
+def test_colouring_path_builds_no_vertex_words():
+    path, builders = set(), set()
+    for _, top in _top_level():
+        # top-level functions and the methods of top-level classes
+        for f in [top] + (top.body if isinstance(top, ast.ClassDef) else []):
+            if not isinstance(f, ast.FunctionDef):
+                continue
+            signature = ast.unparse(f.args) + (ast.unparse(f.returns) if f.returns else "")
+            if "ColouringCertificate" in signature or f.name in COLOURING_HELPERS:
+                path.add(f.name)
+            for node in ast.walk(f):
+                if _name(node) == "VertexWord" or (
+                    isinstance(node, ast.Attribute) and node.attr == "classes"
+                ):
+                    builders.add(f.name)
+    emitters = {"psi_colouring", "bipartite_colouring", "normal_cayley_colouring", "omega_colouring"}
+    assert emitters | {"verify_colouring", "decode_colouring", "colouring_payload"} <= path
+    assert COLOURING_HELPERS <= path and not path & builders

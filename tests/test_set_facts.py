@@ -3,8 +3,8 @@
 ``search.check_independent`` and ``spectral.first_addable`` read
 independence and maximality off one transform; the pairwise scans they
 replaced live on here as oracles, together with the pairwise translate
-test that ``colouring.normal_cayley_colouring`` replaced by a count of
-the union of the translates."""
+test that ``colouring.normal_cayley_colouring`` replaced by colouring
+each word at most once."""
 
 import json
 import random
@@ -165,7 +165,7 @@ def test_normal_cayley_colouring_matches_translate_oracle():
         assert translate_disjointness(lifted, clique)
         cert = colouring.normal_cayley_colouring(lifted, clique)
         assert cert.palette_size == 8
-        assert all(len(cls) == 32 for cls in cert.classes)
+        assert all(cert.colour.count(c) == 32 for c in range(8))
     # swap a member for x ^ a ^ b: the translates by a and b then share
     # x ^ a.  Clique words differ in n/2 places, so x and x ^ a ^ b are
     # adjacent and the oracle refuses the set as not independent.
@@ -177,6 +177,9 @@ def test_normal_cayley_colouring_matches_translate_oracle():
         translate_disjointness(forged, clique)
     with pytest.raises(ValueError, match="translates overlap"):
         colouring.normal_cayley_colouring(forged, clique)
+    # a negative member would index the colour list from its end
+    with pytest.raises(ValueError, match="n-bit words"):
+        colouring.normal_cayley_colouring([x - 256] + lifted[1:], clique)
 
 
 

@@ -1,4 +1,4 @@
-"""Fuzzing ``verify``: every mutation of an emitted n = 4 or n = 8
+"""Fuzzing ``verify``: every mutation of an emitted n = 4, 6 or 8
 certificate gives exit 1, one ``FAIL:`` line and no traceback.
 
 Every command's certificate is in the corpus.  A derivable one is
@@ -31,6 +31,7 @@ EMIT = [
     ["search", "--n", "4"],
     ["search", "--n", "8"],
     ["colour", "--n", "4"],
+    ["colour", "--n", "6"],
     ["colour", "--n", "8"],
     ["colour", "--n", "4", "--graph", "psi"],
     ["colour", "--n", "8", "--graph", "psi"],
