@@ -1,8 +1,8 @@
 """Dense exact linear algebra on integer matrices.
 
-Every matrix here is a list of rows of Python ints; anything else is
-rejected at the boundary.  Two kinds of elimination run here, and the
-fast one is never trusted:
+A matrix comes in as a list of rows of Python ints and is converted to a
+numpy array once, by ``_matrix``, which rejects anything else.  Two kinds
+of elimination run on that array, and the fast one is never trusted:
 
 - ``nonzero_minor`` eliminates modulo the prime ``PRIME`` in numpy int64
   and names a square submatrix by its pivot rows and columns.  It checks
@@ -10,13 +10,16 @@ fast one is never trusted:
   (mod PRIME) with L unit lower and U upper triangular with a nonzero
   diagonal, so the submatrix's determinant is nonzero mod PRIME and hence
   nonzero: its size is a lower bound on the rank over the rationals.
-- ``rcef`` takes its pivot rows and columns from ``nonzero_minor``,
+- ``rcef`` takes its pivot rows and columns from the same elimination,
   inverts only the pivot block exactly, and checks the echelon form it
-  builds against the input before returning it (see there).
+  builds against the input before returning that array (see there).
 - ``rank`` and the pivot-block inverse use fraction-free Gauss-Jordan
   (E. H. Bareiss, "Sylvester's identity and multistep integer-preserving
   Gaussian elimination", Math. Comp. 22, 1968): each entry stays an
   integer minor of the input and every division is exact.
+
+Every product is exact: ``_dot`` runs in int64 only when no partial sum
+can reach 2^63, and on Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -35,27 +38,22 @@ PRIME = 2**31 - 1
 @dataclass(frozen=True)
 class EchelonResult:
     """Reduced column echelon form R of an integer matrix, held as
-    ``matrix == scale * R`` with integer entries and the least positive
-    scale that clears R's denominators, plus the rank and the pivot row
-    indices (strictly increasing, one per pivot column)."""
+    ``matrix == scale * R``, an array of the input's shape (int64, or
+    Python ints past int64) with the least positive scale that clears R's
+    denominators, plus the rank and the pivot row indices (strictly
+    increasing, one per pivot column)."""
 
-    matrix: Matrix
+    matrix: np.ndarray
     rank: int
     pivot_rows: list[int]
     scale: int
 
 
-def shape(a: Matrix) -> tuple[int, int]:
-    return len(a), len(a[0]) if a else 0
-
-
-def mat_vec(a: Matrix, v: list[int]) -> list[int]:
-    if a and len(v) != len(a[0]):
-        raise ValueError("shape mismatch")
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
-def _check(a: Matrix) -> None:
+def _matrix(a: Matrix) -> np.ndarray:
+    """``a`` as a 2-D array: an int64 array when every entry is below 2^62
+    in absolute value, else an array of Python ints (numpy object dtype).
+    Ragged rows raise ValueError, entries that are not Python ints
+    TypeError."""
     cols = len(a[0]) if a else 0
     for row in a:
         if len(row) != cols:
@@ -63,18 +61,21 @@ def _check(a: Matrix) -> None:
         if any(type(x) is not int for x in row):
             # a Fraction would floor-divide silently below
             raise TypeError("entries must be Python ints")
-
-
-def _array(a: Matrix) -> np.ndarray:
-    """``a`` as an int64 array when every entry is below 2^62 in absolute
-    value, else as an array of Python ints (numpy object dtype)."""
     try:
-        m = np.array(a, dtype=np.int64).reshape(shape(a))
+        m = np.array(a, dtype=np.int64).reshape(len(a), cols)
         if m.size == 0 or (m.min() > -(2**62) and m.max() < 2**62):
             return m
     except OverflowError:
         pass
-    return np.array(a, dtype=object).reshape(shape(a))
+    return np.array(a, dtype=object).reshape(len(a), cols)
+
+
+def mat_vec(a: np.ndarray, v: np.ndarray) -> list[int]:
+    """Exact a @ v, as Python ints."""
+    a, v = np.asarray(a), np.asarray(v)
+    if a.shape[1] != len(v):
+        raise ValueError("shape mismatch")
+    return _dot(a, v[:, None])[:, 0].tolist()
 
 
 def _exact(bound: int) -> type:
@@ -101,8 +102,7 @@ def _modp_lu(m: np.ndarray) -> tuple[list[int], list[int], np.ndarray, np.ndarra
     the pivot rows increase and are the lex-first independent rows mod
     PRIME.  Returns the pivot rows, the pivot columns, and factors L (unit
     lower triangular) and U (upper triangular) with
-    L @ U == m[rows][:, cols] mod PRIME.  ``nonzero_minor`` checks all of
-    it."""
+    L @ U == m[rows][:, cols] mod PRIME.  ``_minor`` checks all of it."""
     work = m.copy()
     nrows, ncols = work.shape
     perm = list(range(ncols))
@@ -140,8 +140,12 @@ def nonzero_minor(a: Matrix) -> tuple[list[int], list[int]]:
     the elimination's factors check out: L unit lower triangular, U upper
     triangular with a nonzero diagonal, entries in [0, PRIME), and
     L @ U == a[rows][:, cols] mod PRIME."""
-    _check(a)
-    res = (_array(a) % PRIME).astype(np.int64)
+    return _minor(_matrix(a))
+
+
+def _minor(m: np.ndarray) -> tuple[list[int], list[int]]:
+    """``nonzero_minor`` of an array from ``_matrix``."""
+    res = (m % PRIME).astype(np.int64)
     rows, cols, low, up = _modp_lu(res)
     nrows, ncols = res.shape
     r = len(rows)
@@ -179,7 +183,7 @@ def _gauss_jordan(a: Matrix, forward: bool = False) -> tuple[Matrix, list[int], 
     same, and m is an echelon form but not reduced.
     """
     m = list(a)  # rows are replaced, never mutated
-    rows, cols = shape(m)
+    rows, cols = len(m), len(m[0]) if m else 0
     pivots: list[int] = []
     d = 1
     r = 0
@@ -203,55 +207,61 @@ def _gauss_jordan(a: Matrix, forward: bool = False) -> tuple[Matrix, list[int], 
     return m, pivots, d
 
 
+def _echelon_identity(c: np.ndarray, scale: int, piv: list[int], a: np.ndarray) -> bool:
+    """C[piv] == scale * I and C @ A[piv] == scale * A, with exact
+    products, where C's columns past the rank r = len(piv) are left out of
+    the product: then A has rank r and C spans its column space."""
+    r = len(piv)
+    eye = scale * np.eye(r, c.shape[1], dtype=c.dtype)
+    scaled = a.astype(_exact(_absmax(a) * scale), copy=False) * scale
+    return np.array_equal(c[piv], eye) and np.array_equal(_dot(c[:, :r], a[piv]), scaled)
+
+
 def rcef(a: Matrix) -> EchelonResult:
     """Reduced column echelon form, the transpose of rref of the
     transpose: the canonical representative of the column space, with
     strictly increasing pivot rows, each a multiple of a standard basis
     row.
 
-    The pivot rows and columns come from ``nonzero_minor``, so the pivot
-    block B is nonsingular.  With d * B^-1 from exact Gauss-Jordan on
-    [B | I], the result is C = A[:, cols] @ (d * B^-1), divided by its
-    content.  Before it is returned, C is checked exactly: C[piv] is
-    scale * I, C @ A[piv] is scale * A (so A has rank r and C spans its
-    column space), the rows before pivot k vanish from column k on (so
-    the form is the reduced one, whose pivot rows are lex-first over the
-    rationals), and gcd(scale, C) is 1.  If the prime hid a pivot, one
-    of these fails and ArithmeticError is raised; there is no fallback.
+    The pivot rows and columns come from the checked mod-p elimination
+    of ``nonzero_minor``, so the pivot block B is nonsingular.  With
+    d * B^-1 from exact Gauss-Jordan on [B | I], the result is
+    C = A[:, cols] @ (d * B^-1), divided by its content and padded with
+    zero columns to A's width.  Before it is returned, C is checked
+    exactly: ``_echelon_identity`` holds (so A has rank r and C spans its
+    column space), the rows before pivot k vanish from column k on and
+    every row vanishes past column r (so the form is the reduced one,
+    whose pivot rows are lex-first over the rationals), and
+    gcd(scale, C) is 1.  If the prime hid a pivot, one of these fails and
+    ArithmeticError is raised; there is no fallback.
     """
-    piv, cols = nonzero_minor(a)
+    full = _matrix(a)
+    piv, cols = _minor(full)
     r = len(piv)
-    block = [[a[i][j] for j in cols] + [int(t == k) for k in range(r)] for t, i in enumerate(piv)]
+    block = [
+        row + [int(t == k) for k in range(r)]
+        for t, row in enumerate(full[np.ix_(piv, cols)].tolist())
+    ]
     m, _, d = _gauss_jordan(block)
     # d * B^-1 over d, both divided by their content and made positive
     g = gcd(d, *(x for row in m for x in row[r:])) * (1 if d > 0 else -1)
-    full = _array(a)
-    c = _dot(full[:, cols], _array([[x // g for x in row[r:]] for row in m]))
+    pad = [0] * (full.shape[1] - r)
+    inverse = np.array([[x // g for x in row[r:]] + pad for row in m], dtype=object)
+    c = _dot(full[:, cols], inverse.reshape(r, full.shape[1]))
     scale = d // g
     g = int(np.gcd.reduce(c.ravel(), initial=scale))
     c, scale = c // g, scale // g
 
-    kind = _exact(_absmax(full) * scale)
     if not (
         scale > 0
         and all(x < y for x, y in zip(piv, piv[1:]))
-        and np.array_equal(c[piv], scale * np.eye(r, dtype=c.dtype))
-        and np.array_equal(_dot(c, full[piv]), full.astype(kind) * scale)
-        and not any(c[:p, k:].any() for k, p in enumerate(piv))
+        and _echelon_identity(c, scale, piv, full)
+        and not any(c[:p, k:].any() for k, p in enumerate(piv + [len(c)]))
         and np.gcd.reduce(c.ravel(), initial=scale) == 1
     ):
         raise ArithmeticError("echelon form fails its exact check")
-    ncols = shape(a)[1]
-    pad = [0] * (ncols - r)
-    return EchelonResult(
-        # with no columns the form is [], the transpose of an empty rref
-        matrix=[row + pad for row in c.tolist()] if ncols else [],
-        rank=r,
-        pivot_rows=piv,
-        scale=int(scale),
-    )
+    return EchelonResult(matrix=c, rank=r, pivot_rows=piv, scale=int(scale))
 
 
 def rank(a: Matrix) -> int:
-    _check(a)
-    return len(_gauss_jordan(a, forward=True)[1])
+    return len(_gauss_jordan(_matrix(a).tolist(), forward=True)[1])

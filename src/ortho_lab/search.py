@@ -17,10 +17,11 @@ minor whose LU factors are checked mod p (a lower bound) and the
 incidence rows that the product check puts in the kernel (an upper
 bound).  The echelon matrix, integers over one scale, takes its pivots
 from the same checked elimination; ``ratmat.rcef`` checks it exactly and
-it is checked again against the product matrix here.  The scan runs on
-it in int64 (entry bounds are checked), on row blocks that start small
-and grow, since the first rows already drop most candidates; survivors
-are re-verified in exact integer arithmetic before certification.
+returns the array it checked, and here the same identity is checked
+again against the product matrix.  The scan runs on that array in int64
+(entry bounds are checked), on row blocks that start small and grow,
+since the first rows already drop most candidates; survivors are
+re-verified by ``ratmat``'s exact product before certification.
 """
 
 from __future__ import annotations
@@ -209,29 +210,22 @@ def _scan_01_candidates(cint: np.ndarray, scale: int, lo: int, hi: int) -> list[
 def _echelon_candidates(n: int, base: int) -> list[list[int]]:
     """The vertex sets of the 0/1-valued candidates for n in {8, 12, 16}:
     an int64 scan of the scaled echelon matrix C, once C has been checked
-    against the product matrix P it came from, then an exact integer
-    re-check of every survivor."""
+    against the product matrix P it came from, then an exact re-check of
+    every survivor."""
     red = kernel_reduce(n, base)
-    cint_rows, scale = red.echelon.matrix, red.echelon.scale
-    piv = red.echelon.pivot_rows
-    prod = red.product
+    scale = red.echelon.scale
     # an entry beyond int64 raises OverflowError here
-    cint = np.array(cint_rows, dtype=np.int64)
+    cint = red.echelon.matrix.astype(np.int64, copy=False)
     # every candidate is a 0/1 vector, so no partial sum of the scan's dot
     # products exceeds n times the largest entry: below 2^63 it is exact
     if ratmat._absmax(cint) * n >= 2**63:
         raise ArithmeticError("echelon entries too large for an exact int64 scan")
-    # C[piv] == scale*I and C @ P[piv] == scale*P, with exact products
-    scaled = prod.astype(ratmat._exact(ratmat._absmax(prod) * scale), copy=False) * scale
-    if not (
-        np.array_equal(cint[piv], scale * np.eye(n, dtype=np.int64))
-        and np.array_equal(ratmat._dot(cint, prod[piv]), scaled)
-    ):
+    if not ratmat._echelon_identity(cint, scale, red.echelon.pivot_rows, red.product):
         raise ArithmeticError("echelon matrix fails its check against the product rows")
     order = y_vertices(n)
     out = []
     for x in _scan_01_candidates(cint, scale, 0, 1 << n):
-        z = ratmat.mat_vec(cint_rows, [x >> j & 1 for j in range(n)])
+        z = ratmat.mat_vec(cint, x >> np.arange(n) & 1)
         if any(e not in (0, scale) for e in z):
             raise ArithmeticError(f"scan kept candidate {x}, which is not 0/1-valued")
         out.append([order[i] for i, e in enumerate(z) if e == scale])

@@ -378,27 +378,23 @@ def neighbourhood_gram_spectrum(n: int) -> GramSpectrumReport:
     if n not in (8, 12, 16):
         raise ValueError("spectrum checked for n in {8, 12, 16}")
     half = n // 2
-    pairs = two_subset_masks(n)
-    npairs = len(pairs)
+    npairs = comb(n, 2)
     neigh = half_weight_words(n)
     colsign = _column_sign_masks(_sign_row_mask(neigh, n))
     c0 = comb(n, half)
     c1 = c0 - 8 * comb(n - 3, half - 1)
     c2 = c0 - 16 * comb(n - 4, half - 1)
-    identity_ok = True
+    gram = np.array(_sign_gram(colsign, len(neigh)), dtype=np.int64)
+    inc = pair_incidence(n)
+    # the incidence Gram matrix is 2 on the diagonal, 1 for pairs sharing
+    # a point and 0 for disjoint pairs
+    want = np.array([c2, c1, c0], dtype=np.int64)[inc.T @ inc]
+    bad = np.triu(gram != want)
+    identity_ok = not bad.any()
     witness = None
-    gram = _sign_gram(colsign, len(neigh))
-    for i in range(npairs):
-        for j in range(i, npairs):
-            if i == j:
-                want = c0
-            elif (pairs[i] & pairs[j]).bit_count() == 1:
-                want = c1
-            else:
-                want = c2
-            if gram[i][j] != want:
-                identity_ok = False
-                witness = witness or ("entry", i, j, gram[i][j], want)
+    if not identity_ok:
+        i, j = (int(k) for k in np.argwhere(bad)[0])
+        witness = ("entry", i, j, int(gram[i, j]), int(want[i, j]))
     lam1 = Fraction(n, 2 * (n - 1)) * c0
     lam2 = Fraction(n * (n - 2), (n - 1) * (n - 3)) * c0
     eigenvalues = (lam1, lam2, Fraction(0))
@@ -407,13 +403,10 @@ def neighbourhood_gram_spectrum(n: int) -> GramSpectrumReport:
     for lam in eigenvalues:
         # q*G - p*I has the rank of G - (p/q)*I and stays integral
         p, q = lam.numerator, lam.denominator
-        shifted = [
-            [q * x - (p if i == j else 0) for j, x in enumerate(row)]
-            for i, row in enumerate(gram)
-        ]
-        mults.append(npairs - ratmat.rank(shifted))
+        shifted = q * gram - p * np.eye(npairs, dtype=np.int64)
+        mults.append(npairs - ratmat.rank(shifted.tolist()))
     mult_ok = tuple(mults) == expected_mult and sum(mults) == npairs
-    trace = sum(gram[i][i] for i in range(npairs))
+    trace = int(np.trace(gram))
     trace_ok = trace == npairs * c0 and trace == sum(
         lam * m for lam, m in zip(eigenvalues, mults)
     )

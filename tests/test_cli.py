@@ -474,6 +474,15 @@ def test_psi_colouring_16_certificate_bytes_are_pinned(tmp_path, capsys):
         (["status", "--n", "2"], "a2601db8dc16be8692b8e8578267b7ab6b7f83d5eb41fb5e62c6322bca9b2f8a"),
         (["status", "--n", "4"], "d720e3c171dae820e432270dec8dc7701e0b662a06ff3c89fb738a7498dffc49"),
         (["status", "--n", "8"], "ddf8656fc00030f7767769b565b4ca3a74102de2d4aea231cf76ba750e79ef01"),
+        (["search", "--n", "16"], "ffdd0f96fba270be74d8f0663f5bf7eb741a733cf06664bc8b106555aa071cf8"),
+        (["search", "--n", "12"], "a9122ee65df247207cbe79109457085f1fe877ff53ed6bcf5d170212296139b0"),
+        (
+            ["search", "--n", "8", "--base", "3c"],
+            "1014fe2c3ea37a4398a6b430dd717c0f458ad5997c4c385059e935db6f653042",
+        ),
+        (["status", "--n", "64"], "7da350f492fff8aa87b8348857d0e2fbf2585f0d897ad6cf0d67fd31cb1c35e3"),
+        (["spectrum", "--n", "12"], "5e82a4dd50c8f7c1fd1accff08902762597c77811ead8c13d8a1250ca1ebe0ae"),
+        (["spectrum", "--n", "16"], "5a3640d7a60d89142d8f2be0193f8be02f822c200d99803a81abcddff4dbc719"),
     ],
     ids=(
         "search4",
@@ -494,6 +503,7 @@ def test_psi_colouring_16_certificate_bytes_are_pinned(tmp_path, capsys):
         *("colour1", "colour2", "colour4", "colour6"),
         *("psi1", "psi2", "psi4", "psi8"),
         *("status1", "status2", "status4", "status8"),
+        *("search16", "search12", "search8-3c", "status64", "spectrum12", "spectrum16"),
     ),
 )
 def test_certificate_bytes_are_pinned(tmp_path, capsys, argv, digest):

@@ -160,17 +160,6 @@ def test_verify_colouring_rejects_merged_classes():
     assert not colouring.verify_colouring(broken)
 
 
-def test_colouring_classes_really_avoid_all_edges():
-    colour = colouring.omega_colouring(8).colour
-    bad = sum(
-        1
-        for u in range(256)
-        for v in range(u + 1, 256)
-        if adjacent_bits(u, v, 8) and colour[u] == colour[v]
-    )
-    assert bad == 0
-
-
 # --- verdicts -----------------------------------------------------------------
 
 def test_chi_status_verdict_sweep():

@@ -44,15 +44,13 @@ def test_kernel_reduce_checks_its_rank_ledger(monkeypatch):
     monkeypatch.undo()
 
     # the Gram matrix's mod-p rank forged one too high and one too low,
-    # past the minor's own check; the echelon form's minor (of a matrix
-    # that is not square) stays honest, so only the ledger can object
+    # past the minor's own check; the echelon form takes its minor from
+    # ratmat._minor, which stays honest, so only the ledger can object
     true_minor = ratmat.nonzero_minor
 
     def forged(shift):
         def minor(a):
             rows, cols = true_minor(a)
-            if len(a) != len(a[0]):
-                return rows, cols
             if shift < 0:
                 return rows[:-1], cols[:-1]
             spare = min(set(range(len(a))) - set(rows))
@@ -71,8 +69,8 @@ def test_echelon_is_checked_against_the_product_rows(monkeypatch):
 
     def perturbed(a):
         res = true_rcef(a)
-        bad = [row[:] for row in res.matrix]
-        bad[5][0] += 1  # row 5 is not a pivot row
+        bad = res.matrix.astype(object)
+        bad[5, 0] += 1  # row 5 is not a pivot row
         return dataclasses.replace(res, matrix=bad)
 
     monkeypatch.setattr(ratmat, "rcef", perturbed)
@@ -97,8 +95,8 @@ def brute_force_scan(rows, scale, nbits, lo=0, hi=None):
 )
 def test_scan_matches_brute_force(n, base):
     ech = search.kernel_reduce(n, base).echelon
-    cint = np.array(ech.matrix, dtype=np.int64)
-    want = brute_force_scan(ech.matrix, ech.scale, n)
+    cint = ech.matrix.astype(np.int64)
+    want = brute_force_scan(ech.matrix.tolist(), ech.scale, n)
     assert search._scan_01_candidates(cint, ech.scale, 0, 1 << n) == want
     assert search._scan_01_candidates(cint, ech.scale, 5, 201) == [x for x in want if 5 <= x < 201]
 
@@ -140,8 +138,8 @@ def test_echelon_bound_refuses_rows_an_int64_scan_cannot_hold(monkeypatch, entri
 
     def perturbed(a):
         res = true_rcef(a)
-        bad = [row[:] for row in res.matrix]
-        bad[5][: len(entries)] = entries
+        bad = res.matrix.astype(object)
+        bad[5, : len(entries)] = entries
         return dataclasses.replace(res, matrix=bad)
 
     monkeypatch.setattr(ratmat, "rcef", perturbed)
@@ -162,13 +160,30 @@ def test_echelon_checks_stay_exact_at_the_int64_edge(monkeypatch, row, match):
 
     def perturbed(a):
         res = true_rcef(a)
-        bad = [r[:] for r in res.matrix]
+        bad = res.matrix.astype(object)
         bad[5] = row
         return dataclasses.replace(res, matrix=bad)
 
     monkeypatch.setattr(ratmat, "rcef", perturbed)
     with pytest.raises(ArithmeticError, match=match):
         search.enumerate_candidates(8)
+
+
+def test_search_converts_each_matrix_once(monkeypatch):
+    # one list-to-array conversion per matrix: the 64 x 8 product rows,
+    # the 29 x 29 neighbourhood Gram matrix and the 8 x 29 extended
+    # incidence matrix; rcef's minor and its echelon form reuse the first
+    seen = []
+    true_matrix = ratmat._matrix
+
+    def recording(a):
+        m = true_matrix(a)
+        seen.append(m.shape)
+        return m
+
+    monkeypatch.setattr(ratmat, "_matrix", recording)
+    search.enumerate_candidates(8)
+    assert sorted(seen) == [(8, 29), (29, 29), (64, 8)]
 
 
 def test_kernel_reduce_rejects_degenerate_dimension():

@@ -219,3 +219,19 @@ def test_neighbourhood_gram_spectrum_n8():
     # eigenvalue multiplicity accounting closes: 1 + 20 + 7 = C(8,2)
     assert sum(rep.multiplicities) == comb(8, 2)
     assert sum(m * v for m, v in zip(rep.multiplicities, rep.eigenvalues)) == rep.trace
+
+
+def test_neighbourhood_gram_spectrum_names_a_forged_entry(monkeypatch):
+    # pairs 3 = {0, 4} and 17 = {2, 7} are disjoint, so the entry is c2 = 6
+    true_gram = spectral._sign_gram
+
+    def forged(colsign, rows):
+        gram = true_gram(colsign, rows)
+        gram[3][17] = gram[17][3] = 8
+        return gram
+
+    monkeypatch.setattr(spectral, "_sign_gram", forged)
+    rep = spectral.neighbourhood_gram_spectrum(8)
+    assert not rep.identity_ok and not rep.ok
+    assert rep.witness == ("entry", 3, 17, 8, 6)
+    assert all(type(x) is int for x in rep.witness[1:])
