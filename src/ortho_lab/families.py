@@ -17,6 +17,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import search, spectral
 from .graphs import (
     MAX_N,
@@ -26,6 +28,7 @@ from .graphs import (
     adjacent_bits,
     full_mask,
     omega,
+    popcounts,
     y_canonical_bits,
     y_quotient,
 )
@@ -59,17 +62,9 @@ def segment_subsets(n: int) -> list[int]:
     canonicalization): even size, at least half inside the segment."""
     if n not in (8, 16):
         raise ValueError("segment family defined for n in {8, 16}")
-    c = n // 4 - 1
-    seg = full_mask(c)
-    out = []
-    for w in range(1 << n):
-        total = w.bit_count()
-        if total % 2:
-            continue
-        inside = (w & seg).bit_count()
-        if inside >= total - inside:
-            out.append(w)
-    return out
+    total = popcounts(n)
+    inside = total[np.arange(1 << n) & full_mask(n // 4 - 1)]
+    return np.flatnonzero((total % 2 == 0) & (2 * inside >= total)).tolist()
 
 
 def initial_segment_family(n: int) -> FamilyReport:
@@ -154,16 +149,11 @@ class SymdiffReport:
 def symdiff_transform_check(n: int) -> SymdiffReport:
     """XOR every qualifying subset with the segment: the image must be
     exactly the odd subsets of size at most c."""
-    if n not in (8, 16):
-        raise ValueError("transform check defined for n in {8, 16}")
     c = n // 4 - 1
     seg = full_mask(c)
     image = {w ^ seg for w in segment_subsets(n)}
-    target = {
-        w
-        for w in range(1 << n)
-        if w.bit_count() % 2 == 1 and w.bit_count() <= c
-    }
+    total = popcounts(n)
+    target = set(np.flatnonzero((total % 2 == 1) & (total <= c)).tolist())
     witness = None
     if image != target:
         witness = min(image.symmetric_difference(target))

@@ -14,6 +14,8 @@ from fractions import Fraction
 from math import comb
 from typing import Iterator
 
+import numpy as np
+
 MAX_N = 64
 
 
@@ -75,13 +77,21 @@ def adjacent_bits(a: int, b: int, n: int) -> bool:
     return n % 2 == 0 and (a ^ b).bit_count() == n // 2
 
 
+def popcounts(n: int) -> np.ndarray:
+    """The popcount of every n-bit word, indexed by the word, by doubling."""
+    c = np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        c = np.concatenate((c, c + 1))
+    return c
+
+
 def half_weight_words(n: int) -> list[int]:
     """The words at distance n/2 from 0, ascending: the connection set of
     the full graph (empty for odd n).  Its even members are the
     quotient's connection set, the even word d at position d >> 2."""
     if n % 2:
         return []
-    return [w for w in range(1 << n) if w.bit_count() == n // 2]
+    return np.flatnonzero(popcounts(n) == n // 2).tolist()
 
 
 def degree_of(n: int) -> int:

@@ -16,7 +16,8 @@ of elimination run on that array, and the fast one is never trusted:
 - ``rank`` and the pivot-block inverse use fraction-free Gauss-Jordan
   (E. H. Bareiss, "Sylvester's identity and multistep integer-preserving
   Gaussian elimination", Math. Comp. 22, 1968): each entry stays an
-  integer minor of the input and every division is exact.
+  integer minor of the input and every division is exact.  The program
+  ranks only incidence matrices with n rows this way.
 
 Every product is exact: ``_dot`` runs in int64 only when no partial sum
 can reach 2^63, and on Python ints otherwise.
@@ -171,16 +172,15 @@ def _minor(m: np.ndarray) -> tuple[list[int], list[int]]:
     return [int(i) for i in rows], [int(j) for j in cols]
 
 
-def _gauss_jordan(a: Matrix, forward: bool = False) -> tuple[Matrix, list[int], int]:
+def _gauss_jordan(a: Matrix) -> tuple[Matrix, list[int], int]:
     """Fraction-free Gauss-Jordan elimination.
 
     Returns (m, pivots, d) with m == d * rref(a) and d the last pivot
     (plus or minus the determinant of the pivot block, 1 if a has rank 0).
     Pivot choice is the first row with a nonzero entry in the current
-    column, as in textbook rref, so the pivots are deterministic.  With
-    ``forward`` only the rows below each pivot are eliminated (Bareiss's
-    forward pass, whose divisions are exact too): the pivots are the
-    same, and m is an echelon form but not reduced.
+    column, as in textbook rref, so the pivots are deterministic.  Its
+    inputs are small: rcef's r x 2r pivot block and the n-row incidence
+    matrices handed to ``rank``.
     """
     m = list(a)  # rows are replaced, never mutated
     rows, cols = len(m), len(m[0]) if m else 0
@@ -196,7 +196,7 @@ def _gauss_jordan(a: Matrix, forward: bool = False) -> tuple[Matrix, list[int], 
         m[r], m[p] = m[p], m[r]
         prow = m[r]
         pv = prow[c]
-        for i in range(r + 1 if forward else 0, rows):
+        for i in range(rows):
             if i != r:
                 f = m[i][c]
                 # exact: the quotient is a minor of a
@@ -264,4 +264,4 @@ def rcef(a: Matrix) -> EchelonResult:
 
 
 def rank(a: Matrix) -> int:
-    return len(_gauss_jordan(_matrix(a).tolist(), forward=True)[1])
+    return len(_gauss_jordan(_matrix(a).tolist())[1])

@@ -27,6 +27,7 @@ re-verified by ``ratmat``'s exact product before certification.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Optional, Sequence
 
 import numpy as np
@@ -86,8 +87,7 @@ def kernel_reduce(n: int, base: int = 0) -> KernelReduction:
     if n not in PIPELINE_DIMS:
         raise ValueError("kernel reduction runs for n in {8, 12, 16}")
     _require_canonical(base, n)
-    pairs = spectral.two_subset_masks(n)
-    npairs = len(pairs)
+    npairs = comb(n, 2)
 
     inc_ext = [row + [1] for row in spectral.pair_incidence(n).tolist()]
     incidence_rank = ratmat.rank(inc_ext)

@@ -288,6 +288,14 @@ def _sign_gram(colsign: list[int], rows: int) -> list[list[int]]:
     return [[rows - 2 * (ci ^ cj).bit_count() for cj in colsign] for ci in colsign]
 
 
+def _incidence_identities(n: int) -> tuple[np.ndarray, list, bool]:
+    """B = pair_incidence(n) in int64, the entries [u, v] where B B^T
+    differs from (n-2) I + J, and whether every column of B sums to 2."""
+    b = pair_incidence(n).astype(np.int64)
+    bad = np.argwhere(b @ b.T != (n - 2) * np.eye(n, dtype=np.int64) + 1)
+    return b, bad.tolist(), bool((b.sum(axis=0) == 2).all())
+
+
 @dataclass(frozen=True)
 class GramIdentityReport:
     n: int
@@ -333,17 +341,13 @@ def gram_identities(n: int) -> GramIdentityReport:
             witness = ("row_sum", neigh[k])
         else:
             witness = ("product", neigh[k], int(np.argmax(bad_product[k])))
-    inc = pair_incidence(n).astype(np.int64)
-    want = (n - 2) * np.eye(n, dtype=np.int64) + 1
-    bad_gram = np.argwhere(inc @ inc.T != want)
-    gram_ok = bad_gram.size == 0
-    if witness is None and not gram_ok:
-        u, v = bad_gram[0]
-        witness = ("incidence_gram", int(u), int(v))
+    bad_gram = _incidence_identities(n)[1]
+    if witness is None and bad_gram:
+        witness = ("incidence_gram", *bad_gram[0])
     return GramIdentityReport(
         n=n,
         product_all_minus_one=product_ok,
-        incidence_gram_ok=gram_ok,
+        incidence_gram_ok=not bad_gram,
         incidence_gram_diagonal=n - 1,
         incidence_gram_off_diagonal=1,
         row_sums_ok=row_sums_ok,
@@ -370,54 +374,49 @@ class GramSpectrumReport:
 
 
 def neighbourhood_gram_spectrum(n: int) -> GramSpectrumReport:
-    """Gram matrix of the neighbourhood sign matrix: verify it equals
-    c0 I + c1 L + c2 L' (L = pairs sharing a point, L' = disjoint pairs)
-    with the closed-form coefficients, then pin each eigenvalue's
-    multiplicity by an exact rank computation.
-    """
+    """Gram matrix G of the neighbourhood sign matrix and its eigenvalue
+    multiplicities, from the Johnson scheme J(n, 2) (Brouwer, Cohen and
+    Neumaier, Distance-Regular Graphs, 1989, section 9.1).
+
+    Checked on every entry: G = c0 I + c1 L + c2 L' (L = pairs sharing a
+    point, L' = disjoint pairs) with closed-form coefficients, that is
+    aI + bM + cJ with M = B^T B for B = pair_incidence(n).  Given
+    B B^T = (n-2) I + J and column sums 2, G acts as a + b(2n-2) + cN on
+    span(1), as a on ker B and as a + b(n-2) on B^T(1-perp), of dimensions
+    1, N - r and r - 1 for r = rank(B), computed exactly."""
     if n not in (8, 12, 16):
         raise ValueError("spectrum checked for n in {8, 12, 16}")
-    half = n // 2
     npairs = comb(n, 2)
     neigh = half_weight_words(n)
     colsign = _column_sign_masks(_sign_row_mask(neigh, n))
-    c0 = comb(n, half)
-    c1 = c0 - 8 * comb(n - 3, half - 1)
-    c2 = c0 - 16 * comb(n - 4, half - 1)
+    c0 = comb(n, n // 2)
+    c1 = c0 - 8 * comb(n - 3, n // 2 - 1)
+    c2 = c0 - 16 * comb(n - 4, n // 2 - 1)
+    a, b, c = c0 - 2 * c1 + c2, c1 - c2, c2
     gram = np.array(_sign_gram(colsign, len(neigh)), dtype=np.int64)
-    inc = pair_incidence(n)
-    # the incidence Gram matrix is 2 on the diagonal, 1 for pairs sharing
-    # a point and 0 for disjoint pairs
-    want = np.array([c2, c1, c0], dtype=np.int64)[inc.T @ inc]
-    bad = np.triu(gram != want)
-    identity_ok = not bad.any()
-    witness = None
-    if not identity_ok:
-        i, j = (int(k) for k in np.argwhere(bad)[0])
-        witness = ("entry", i, j, int(gram[i, j]), int(want[i, j]))
+    inc, bad_inc, columns_ok = _incidence_identities(n)
+    want = a * np.eye(npairs, dtype=np.int64) + b * (inc.T @ inc) + c
+    bad = [
+        (i, j, int(gram[i, j]), int(want[i, j])) for i, j in np.argwhere(gram != want).tolist()
+    ]
+    r = ratmat.rank(inc.tolist())
     lam1 = Fraction(n, 2 * (n - 1)) * c0
     lam2 = Fraction(n * (n - 2), (n - 1) * (n - 3)) * c0
     eigenvalues = (lam1, lam2, Fraction(0))
-    expected_mult = (1, npairs - n, n - 1)
-    mults = []
-    for lam in eigenvalues:
-        # q*G - p*I has the rank of G - (p/q)*I and stays integral
-        p, q = lam.numerator, lam.denominator
-        shifted = q * gram - p * np.eye(npairs, dtype=np.int64)
-        mults.append(npairs - ratmat.rank(shifted.tolist()))
-    mult_ok = tuple(mults) == expected_mult and sum(mults) == npairs
+    acts = (a + b * (2 * n - 2) + c * npairs, a, a + b * (n - 2))
+    mults = (1, npairs - r, r - 1)
+    premises = not bad and not bad_inc and columns_ok and r == n
+    mult_ok = premises and len(set(acts)) == 3 and acts == eigenvalues
     trace = int(np.trace(gram))
-    trace_ok = trace == npairs * c0 and trace == sum(
-        lam * m for lam, m in zip(eigenvalues, mults)
-    )
+    trace_ok = trace == npairs * c0 == sum(lam * m for lam, m in zip(eigenvalues, mults))
     return GramSpectrumReport(
         n=n,
         coefficients=(c0, c1, c2),
-        identity_ok=identity_ok,
+        identity_ok=not bad,
         eigenvalues=eigenvalues,
-        multiplicities=tuple(mults),
+        multiplicities=mults,
         multiplicities_ok=mult_ok,
         trace=trace,
         trace_ok=trace_ok,
-        witness=witness,
+        witness=("entry", *bad[0]) if bad else None,
     )

@@ -16,6 +16,24 @@ def test_segment_subsets_n8():
     assert all(w == 0 or (w & 1 and w.bit_count() == 2) for w in subs)
 
 
+def segment_subsets_by_filter(n):
+    """A Python filter over every word, the oracle for the popcount masks:
+    even size, at least half inside the first n/4 - 1 coordinates."""
+    seg = (1 << (n // 4 - 1)) - 1
+    return [
+        w
+        for w in range(1 << n)
+        if w.bit_count() % 2 == 0 and 2 * (w & seg).bit_count() >= w.bit_count()
+    ]
+
+
+@pytest.mark.parametrize("n", (8, 16))
+def test_segment_subsets_match_the_filter(n):
+    subs = families.segment_subsets(n)
+    assert subs == segment_subsets_by_filter(n)
+    assert all(type(w) is int for w in subs)
+
+
 def test_segment_family_n8_is_tight():
     rep = families.initial_segment_family(8)
     assert rep.raw_count == 8

@@ -4,7 +4,7 @@ reference."""
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 import numpy as np
 import pytest
@@ -162,15 +162,19 @@ def test_rank_matches_reference_on_gram_matrices(n):
     grams = [spectral._sign_gram(colsign + [0], len(neigh))]
     colsign = spectral._column_sign_masks(spectral._sign_row_mask(words, n))
     gram = spectral._sign_gram(colsign, len(words))
-    for lam in spectral.neighbourhood_gram_spectrum(n).eigenvalues:
+    spectrum = spectral.neighbourhood_gram_spectrum(n)
+    for lam in spectrum.eigenvalues:
         p, q = lam.numerator, lam.denominator
         grams.append(
             [[q * x - (p if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(gram)]
         )
-    for g in grams:
-        exact = len(rref(g)[1])
-        assert ratmat.rank(g) == exact
-        assert len(ratmat.nonzero_minor(g)[0]) == exact
+    exact = [len(rref(g)[1]) for g in grams]
+    for g, r in zip(grams, exact):
+        assert ratmat.rank(g) == r
+        assert len(ratmat.nonzero_minor(g)[0]) == r
+    # the shifted ranks are the slow exact oracle for the multiplicities
+    # the spectrum derives from the incidence rank
+    assert tuple(comb(n, 2) - r for r in exact[1:]) == spectrum.multiplicities
 
 
 def test_rcef_is_idempotent_and_pivot_rows_increase():

@@ -7,7 +7,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from ortho_lab import families, search, spectral
+from ortho_lab import families, ratmat, search, spectral
 from ortho_lab.graphs import Family, omega, psi, y_quotient, y_vertices
 
 
@@ -235,3 +235,65 @@ def test_neighbourhood_gram_spectrum_names_a_forged_entry(monkeypatch):
     assert not rep.identity_ok and not rep.ok
     assert rep.witness == ("entry", 3, 17, 8, 6)
     assert all(type(x) is int for x in rep.witness[1:])
+
+
+def test_neighbourhood_gram_spectrum_checks_every_entry(monkeypatch):
+    # one entry below the diagonal forged: an upper-triangle check misses it
+    true_gram = spectral._sign_gram
+
+    def forged(colsign, rows):
+        gram = true_gram(colsign, rows)
+        gram[17][3] = 8
+        return gram
+
+    monkeypatch.setattr(spectral, "_sign_gram", forged)
+    rep = spectral.neighbourhood_gram_spectrum(8)
+    assert rep.witness == ("entry", 17, 3, 8, 6)
+    assert not rep.identity_ok and not rep.multiplicities_ok and not rep.ok
+
+
+def test_neighbourhood_gram_spectrum_needs_the_incidence_rank(monkeypatch):
+    true_rank = ratmat.rank
+    monkeypatch.setattr(ratmat, "rank", lambda a: true_rank(a) - 1)
+    rep = spectral.neighbourhood_gram_spectrum(8)
+    assert rep.multiplicities == (1, 21, 6)
+    assert not rep.multiplicities_ok and not rep.ok
+
+
+def move_second_one(b):
+    # pair 0 = {0, 1} moves its second 1 from row 1 to row 2: B^T B and
+    # B B^T both change, the column sums do not
+    b[1, 0], b[2, 0] = 0, 1
+
+
+def negate_every_row(b):
+    # B^T B, B B^T and the rank are unchanged; the column sums are -2
+    b *= -1
+
+
+@pytest.mark.parametrize("forge", (move_second_one, negate_every_row))
+def test_neighbourhood_gram_spectrum_checks_the_incidence(monkeypatch, forge):
+    true_incidence = spectral.pair_incidence
+
+    def forged(n):
+        b = true_incidence(n).astype(np.int64)
+        forge(b)
+        return b
+
+    monkeypatch.setattr(spectral, "pair_incidence", forged)
+    rep = spectral.neighbourhood_gram_spectrum(8)
+    assert rep.multiplicities == (1, 20, 7)
+    assert not rep.multiplicities_ok and not rep.ok
+
+
+def test_neighbourhood_gram_spectrum_ranks_only_the_incidence(monkeypatch):
+    seen = []
+    true_rank = ratmat.rank
+
+    def recording(a):
+        seen.append((len(a), len(a[0])))
+        return true_rank(a)
+
+    monkeypatch.setattr(ratmat, "rank", recording)
+    assert spectral.neighbourhood_gram_spectrum(12).ok
+    assert seen == [(12, 66)]
