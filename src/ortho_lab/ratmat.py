@@ -13,11 +13,11 @@ of elimination run on that array, and the fast one is never trusted:
 - ``rcef`` takes its pivot rows and columns from the same elimination,
   inverts only the pivot block exactly, and checks the echelon form it
   builds against the input before returning that array (see there).
-- ``rank`` and the pivot-block inverse use fraction-free Gauss-Jordan
-  (E. H. Bareiss, "Sylvester's identity and multistep integer-preserving
+  ``rank`` is the rank of that checked form.
+- The pivot block is inverted by fraction-free Gauss-Jordan (E. H.
+  Bareiss, "Sylvester's identity and multistep integer-preserving
   Gaussian elimination", Math. Comp. 22, 1968): each entry stays an
-  integer minor of the input and every division is exact.  The program
-  ranks only incidence matrices with n rows this way.
+  integer minor of the block and every division is exact.
 
 Every product is exact: ``_dot`` runs in int64 only when no partial sum
 can reach 2^63, and on Python ints otherwise.
@@ -172,39 +172,28 @@ def _minor(m: np.ndarray) -> tuple[list[int], list[int]]:
     return [int(i) for i in rows], [int(j) for j in cols]
 
 
-def _gauss_jordan(a: Matrix) -> tuple[Matrix, list[int], int]:
-    """Fraction-free Gauss-Jordan elimination.
-
-    Returns (m, pivots, d) with m == d * rref(a) and d the last pivot
-    (plus or minus the determinant of the pivot block, 1 if a has rank 0).
-    Pivot choice is the first row with a nonzero entry in the current
-    column, as in textbook rref, so the pivots are deterministic.  Its
-    inputs are small: rcef's r x 2r pivot block and the n-row incidence
-    matrices handed to ``rank``.
-    """
-    m = list(a)  # rows are replaced, never mutated
-    rows, cols = len(m), len(m[0]) if m else 0
-    pivots: list[int] = []
+def _inverse(b: Matrix) -> tuple[Matrix, int]:
+    """(m, d) with m == d * B^-1 for a square block B that ``_minor`` has
+    shown is nonsingular, by fraction-free Gauss-Jordan on [B | I]: each
+    entry stays an integer minor and every division is exact, and d is the
+    last pivot, plus or minus det B.  A column without a pivot raises
+    ArithmeticError."""
+    r = len(b)
+    m = [row + [int(t == k) for k in range(r)] for t, row in enumerate(b)]
     d = 1
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        p = next((i for i in range(r, rows) if m[i][c]), None)
+    for c in range(r):
+        p = next((i for i in range(c, r) if m[i][c]), None)
         if p is None:
-            continue
-        m[r], m[p] = m[p], m[r]
-        prow = m[r]
+            raise ArithmeticError("pivot block is singular")
+        m[c], m[p] = m[p], m[c]
+        prow = m[c]
         pv = prow[c]
-        for i in range(rows):
-            if i != r:
+        for i in range(r):
+            if i != c:
                 f = m[i][c]
-                # exact: the quotient is a minor of a
                 m[i] = [(pv * x - f * y) // d for x, y in zip(m[i], prow)]
         d = pv
-        pivots.append(c)
-        r += 1
-    return m, pivots, d
+    return [row[r:] for row in m], d
 
 
 def _echelon_identity(c: np.ndarray, scale: int, piv: list[int], a: np.ndarray) -> bool:
@@ -235,18 +224,18 @@ def rcef(a: Matrix) -> EchelonResult:
     gcd(scale, C) is 1.  If the prime hid a pivot, one of these fails and
     ArithmeticError is raised; there is no fallback.
     """
-    full = _matrix(a)
+    return _echelon(_matrix(a))
+
+
+def _echelon(full: np.ndarray) -> EchelonResult:
+    """``rcef`` of an array from ``_matrix``."""
     piv, cols = _minor(full)
     r = len(piv)
-    block = [
-        row + [int(t == k) for k in range(r)]
-        for t, row in enumerate(full[np.ix_(piv, cols)].tolist())
-    ]
-    m, _, d = _gauss_jordan(block)
+    m, d = _inverse(full[np.ix_(piv, cols)].tolist())
     # d * B^-1 over d, both divided by their content and made positive
-    g = gcd(d, *(x for row in m for x in row[r:])) * (1 if d > 0 else -1)
+    g = gcd(d, *(x for row in m for x in row)) * (1 if d > 0 else -1)
     pad = [0] * (full.shape[1] - r)
-    inverse = np.array([[x // g for x in row[r:]] + pad for row in m], dtype=object)
+    inverse = np.array([[x // g for x in row] + pad for row in m], dtype=object)
     c = _dot(full[:, cols], inverse.reshape(r, full.shape[1]))
     scale = d // g
     g = int(np.gcd.reduce(c.ravel(), initial=scale))
@@ -264,4 +253,5 @@ def rcef(a: Matrix) -> EchelonResult:
 
 
 def rank(a: Matrix) -> int:
-    return len(_gauss_jordan(_matrix(a).tolist())[1])
+    """The rank of ``a``: that of its checked echelon form (see ``rcef``)."""
+    return _echelon(_matrix(a)).rank

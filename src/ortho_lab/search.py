@@ -11,17 +11,17 @@ scan is exhaustive, not heuristic.
 
 The collapsed matrix and the neighbourhood Gram matrix both come from
 the 0/1 sign table of ``spectral._sign_row_mask``, one numpy step per
-word list.  Both eliminations on this path run mod a prime and are
-checked exactly.  The neighbourhood rank is pinned between a Gram-matrix
-minor whose LU factors are checked mod p (a lower bound) and the
-incidence rows that the product check puts in the kernel (an upper
-bound).  The echelon matrix, integers over one scale, takes its pivots
-from the same checked elimination; ``ratmat.rcef`` checks it exactly and
-returns the array it checked, and here the same identity is checked
-again against the product matrix.  The scan runs on that array in int64
-(entry bounds are checked), on row blocks that start small and grow,
-since the first rows already drop most candidates; survivors are
-re-verified by ``ratmat``'s exact product before certification.
+word list.  All three eliminations on this path (incidence rank, Gram
+minor, echelon form) run mod a prime and are checked exactly.  The
+neighbourhood rank is pinned between a Gram-matrix minor whose LU
+factors are checked mod p (a lower bound) and the incidence rows that
+the product check puts in the kernel (an upper bound).  The echelon
+matrix, integers over one scale, takes its pivots from the same checked
+elimination; ``ratmat.rcef`` checks it exactly and returns that array,
+which is checked again here against the product matrix.  The scan runs
+on it in int64 (entry bounds are checked), on row blocks that start
+small and grow, since the first rows drop most candidates; survivors
+are re-verified by ``ratmat``'s exact product before certification.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Exact integer matrix kernel: checked mod-p minors, the echelon form
-built from them and fraction-free elimination, against a Fraction
-reference."""
+built from them with a fraction-free pivot-block inverse, and the rank
+read from that form, against a Fraction reference."""
 
 import random
 from fractions import Fraction
@@ -242,6 +242,8 @@ def test_unlucky_prime_is_refused(a):
     assert len(ratmat.nonzero_minor(a)[0]) <= len(rref(a)[1])
     with pytest.raises(ArithmeticError):
         ratmat.rcef(a)
+    with pytest.raises(ArithmeticError):
+        ratmat.rank(a)
 
 
 def _forge_l(rows, cols, low, up):
@@ -271,16 +273,59 @@ def _forge_extra_pivot(rows, cols, low, up):
     "forge", (_forge_l, _forge_u, _forge_extra_pivot), ids=("L", "U", "extra-pivot")
 )
 def test_forged_factors_fail_the_factorisation_check(monkeypatch, forge):
-    # the 29 x 29 Gram matrix of kernel_reduce(8) has mod-p rank 21
+    # the 29 x 29 Gram matrix of kernel_reduce(8) has mod-p rank 21; only
+    # its factors are forged, so kernel_reduce reaches the Gram minor
+    # past the 8 x 29 incidence rank, which the extra pivot would refuse
+    # as malformed (row 8 lies outside it)
     neigh = y_neighbours_bits(0, 8)
     colsign = spectral._column_sign_masks(spectral._sign_row_mask(neigh, 8))
     gram = spectral._sign_gram(colsign + [0], len(neigh))
     true_lu = ratmat._modp_lu
-    monkeypatch.setattr(ratmat, "_modp_lu", lambda m: forge(*true_lu(m)))
+
+    def forged_on_gram(m):
+        factors = true_lu(m)
+        return forge(*factors) if m.shape == (29, 29) else factors
+
+    monkeypatch.setattr(ratmat, "_modp_lu", forged_on_gram)
     with pytest.raises(ArithmeticError, match="do not multiply"):
         ratmat.nonzero_minor(gram)
     with pytest.raises(ArithmeticError, match="do not multiply"):
         search.kernel_reduce(8)
+
+
+@pytest.mark.parametrize(
+    "forge", (_forge_l, _forge_u, _forge_extra_pivot), ids=("L", "U", "extra-pivot")
+)
+def test_rank_rests_on_the_checked_elimination(monkeypatch, forge):
+    # the incidence rank is the checked echelon form's, so forged mod-p
+    # factors make it refuse instead of answering
+    true_lu = ratmat._modp_lu
+    monkeypatch.setattr(ratmat, "_modp_lu", lambda m: forge(*true_lu(m)))
+    with pytest.raises(ArithmeticError):
+        ratmat.rank(spectral.pair_incidence(8).tolist())
+
+
+def test_fraction_free_elimination_inverts_only_pivot_blocks(monkeypatch):
+    # the one fraction-free routine sees the square pivot blocks: of the
+    # incidence and the product rows in the search, of the incidence in
+    # the spectrum
+    assert not hasattr(ratmat, "_gauss_jordan")
+    seen = []
+    true_inverse = ratmat._inverse
+
+    def recording(b):
+        seen.append((len(b), len(b[0])))
+        return true_inverse(b)
+
+    monkeypatch.setattr(ratmat, "_inverse", recording)
+    search.enumerate_candidates(8)
+    assert seen == [(8, 8), (8, 8)]
+    seen.clear()
+    spectral.neighbourhood_gram_spectrum(8)
+    assert seen == [(8, 8)]
+    # a block without a pivot in some column is refused, not skipped
+    with pytest.raises(ArithmeticError, match="singular"):
+        true_inverse([[1, 2, 0], [2, 4, 0], [0, 0, 1]])
 
 
 @pytest.mark.parametrize(
