@@ -1,9 +1,11 @@
-"""Implicit representation of the orthogonality graph and its relatives.
+"""The orthogonality graph and its relatives, each as a connection set.
 
 Vertices are n-bit words: bit i set means coordinate i+1 of the
 corresponding sign vector is -1, equivalently element i+1 belongs to the
-subset.  Adjacency never materializes a matrix; everything is popcount
-arithmetic on words.
+subset.  Sign multiplication is XOR, and each graph here is a Cayley
+graph on it: `connection_set` lists its differences, and the neighbour
+lists, the recursive graph's edge stream and the spectrum read that one
+list.  No adjacency matrix is ever built.
 """
 
 from __future__ import annotations
@@ -85,15 +87,6 @@ def popcounts(n: int) -> np.ndarray:
     return c
 
 
-def half_weight_words(n: int) -> list[int]:
-    """The words at distance n/2 from 0, ascending: the connection set of
-    the full graph (empty for odd n).  Its even members are the
-    quotient's connection set, the even word d at position d >> 2."""
-    if n % 2:
-        return []
-    return np.flatnonzero(popcounts(n) == n // 2).tolist()
-
-
 def degree_of(n: int) -> int:
     """Vertex degree: the number of words at distance n/2."""
     return comb(n, n // 2) if n % 2 == 0 else 0
@@ -125,56 +118,58 @@ def y_vertices(n: int) -> list[int]:
     return [(i << 2) | (i.bit_count() & 1) << 1 for i in range(1 << (n - 2))]
 
 
-def y_neighbours_bits(base: int, n: int) -> list[int]:
-    """Neighbours of a canonical vertex, ascending.  A canonical word
-    XOR an even connection word keeps bit 0 clear and even weight, so
-    the even half-weight words are the quotient's differences."""
-    return sorted(base ^ d for d in half_weight_words(n) if not d & 1)
-
-
-# -- the doubling construction -------------------------------------------------
+# -- connection sets -----------------------------------------------------------
 
 def double_word(x: int, r: int, n: int) -> int:
     """The 2n-bit word formed by x followed by the entrywise product of x and r."""
     return x | ((x ^ r) << n)
 
 
-# -- the recursive spanning subgraph -------------------------------------------
+def connection_set(kind: GraphKind) -> list[int]:
+    """The graph's differences, ascending: u ~ v iff u ^ v is a member.
+
+    The full graph's are the words of weight n/2 (none for odd n), and
+    the quotient's are those with bit 0 clear, which keep a canonical
+    word canonical (4 | n makes their weight even).  The recursive
+    graph's double from the empty S_1: with n = 2m, S_n holds
+    double_word(d, 0, m) for d in S_m (an edge inside copy r) and
+    double_word(z, m-bar, m) for every m-bit z (the complete join of
+    copies r and r-bar)."""
+    n = kind.n
+    if n > 16:
+        raise ValueError(f"connection sets are listed for n <= 16, got {n}")
+    if kind.family is Family.PSI:
+        s, m = [], 1
+        while m < n:
+            s = [double_word(d, 0, m) for d in s] + [
+                double_word(z, full_mask(m), m) for z in range(1 << m)
+            ]
+            m *= 2
+        return sorted(s)
+    s = np.flatnonzero(popcounts(n) == n // 2).tolist() if n % 2 == 0 else []
+    return [d for d in s if not d & 1] if kind.family is Family.Y else s
+
+
+def neighbours(kind: GraphKind, base: int) -> list[int]:
+    return sorted(base ^ d for d in connection_set(kind))
+
+
+def psi_edges(n: int) -> Iterator[tuple[int, int]]:
+    """Stream the edges (a, b), a < b, of the recursive graph on n-bit words."""
+    s = connection_set(psi(n))
+    yield from ((a, a ^ d) for a in range(1 << n) for d in s if a < a ^ d)
+
 
 def psi_edge_count(n: int) -> int:
-    """Edge count of the recursive graph: each doubling contributes, per copy
-    pair, two recursive halves plus a complete join."""
-    if n & (n - 1):
-        raise ValueError("recursive graph needs n a power of two")
-    if n == 1:
-        return 0
-    m = n // 2
-    return (1 << (m - 1)) * (2 * psi_edge_count(m) + (1 << (2 * m)))
+    """2^(n-1) |S_n| for n = 2^k, where |S_n| = |S_m| + 2^m sums 2^(2^j) over j < k."""
+    k = n.bit_length() - 1
+    if n < 1 or n != 1 << k:
+        raise ValueError(f"the recursive graph needs n a power of two, at least 1; got {n}")
+    return (1 << (n - 1)) * sum(1 << (1 << j) for j in range(k))
 
 
 def omega_edge_count(n: int) -> int:
     return (1 << (n - 1)) * degree_of(n) if n % 2 == 0 else 0
-
-
-def psi_edges(n: int) -> Iterator[tuple[int, int]]:
-    """Stream the edges of the recursive graph on n-bit words, n a power of two."""
-    if n & (n - 1):
-        raise ValueError("recursive graph needs n a power of two")
-    if n == 1:
-        return
-    m = n // 2
-    inner = list(psi_edges(m))
-    for r in range(1 << m):
-        if r & 1:
-            continue  # one copy pair per {r, complement(r)}
-        rc = r ^ full_mask(m)
-        for u, v in inner:
-            yield double_word(u, r, m), double_word(v, r, m)
-            yield double_word(u, rc, m), double_word(v, rc, m)
-        for x in range(1 << m):
-            a = double_word(x, r, m)
-            for y in range(1 << m):
-                yield a, double_word(y, rc, m)
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from .graphs import (
     VertexWord,
     adjacent_bits,
     is_y_canonical,
-    y_neighbours_bits,
+    neighbours,
     y_quotient,
     y_vertices,
 )
@@ -100,7 +100,7 @@ def kernel_reduce(n: int, base: int = 0) -> KernelReduction:
     # (below) holds, the extended incidence rows times the same signs lie
     # in A's kernel, and rank(A) <= (npairs + 1) - incidence_rank.  The
     # ledger demands that the bounds meet, so the rank is exact.
-    neigh = y_neighbours_bits(base, n)
+    neigh = neighbours(y_quotient(n), base)
     colsign = spectral._column_sign_masks(spectral._sign_row_mask(neigh, n))
     colsign.append(0)  # the all-ones column
     minor_rows, _ = ratmat.nonzero_minor(spectral._sign_gram(colsign, len(neigh)))
@@ -238,7 +238,7 @@ def _subset_candidates(n: int, base: int) -> list[list[int]]:
     instead (there are again exactly 2^n of them); those avoiding the
     base's neighbourhood count as 0/1-valued."""
     _require_canonical(base, n)
-    forbidden = set(y_neighbours_bits(base, n))
+    forbidden = set(neighbours(y_quotient(n), base))
     allowed = [v for v in y_vertices(n) if v not in forbidden]
     return [
         [v for i, v in enumerate(allowed) if mask >> i & 1]
@@ -301,7 +301,7 @@ def exhaustive_tight_sets(n: int, base: int = 0) -> list[list[int]]:
     if bound.denominator != 1:
         raise ArithmeticError(f"bound {bound} is not an integer")
     target = int(bound)
-    forbidden = set(y_neighbours_bits(base, n))
+    forbidden = set(neighbours(y_quotient(n), base))
     cand = [v for v in y_vertices(n) if v not in forbidden]
     k = len(cand)
     adj = [

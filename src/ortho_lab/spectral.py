@@ -5,11 +5,12 @@ bound.  The tau-eigenspace is spanned by character columns indexed by
 2-subsets and (n-2)-subsets; everything here verifies those facts by
 direct computation rather than quoting them.
 
-The adjacency operator is never materialized.  The full graph and the
-quotient are Cayley graphs on an elementary abelian 2-group, so the
-Walsh transform diagonalizes adjacency and the transform of the
-connection indicator is the whole spectrum; independence, maximality
-and the ratio-bound equality test are read off it.  The tau-eigenspace
+The adjacency operator is never materialized.  A graph is its
+connection set (``graphs.connection_set``) on the group Z_2^n, so the
+Walsh transform diagonalizes adjacency and the transform of the set's
+indicator is the whole spectrum (Babai, JCTB 27, 1979), with no case
+per graph; independence, maximality and the ratio-bound equality test
+are read off it.  The tau-eigenspace
 is checked independently, by summing each character column over every
 vertex's neighbours.
 
@@ -33,10 +34,10 @@ from . import ratmat
 from .graphs import (
     Family,
     GraphKind,
+    connection_set,
     full_mask,
-    half_weight_words,
     is_y_canonical,
-    y_neighbours_bits,
+    omega,
     y_vertices,
 )
 
@@ -160,9 +161,7 @@ def indicator(kind: GraphKind, members: Sequence[int]) -> np.ndarray:
 def adjacency_spectrum(kind: GraphKind) -> np.ndarray:
     """A's eigenvalue on every character: the transform of the connection
     set's indicator, whose entry k is the eigenvalue on character k."""
-    n = kind.n
-    diffs = y_neighbours_bits(0, n) if kind.family is Family.Y else half_weight_words(n)
-    return wht(indicator(kind, diffs))
+    return wht(indicator(kind, connection_set(kind)))
 
 
 def first_addable(kind: GraphKind, members: Sequence[int]) -> Optional[int]:
@@ -179,7 +178,7 @@ def first_addable(kind: GraphKind, members: Sequence[int]) -> Optional[int]:
 def _apply_streaming(n: int, vec: Sequence) -> list:
     """A*vec on the full graph, summing the vector over each vertex's
     neighbours directly."""
-    diffs = half_weight_words(n)
+    diffs = connection_set(omega(n))
     return [sum(vec[a ^ d] for d in diffs) for a in range(1 << n)]
 
 
@@ -328,7 +327,7 @@ def gram_identities(n: int) -> GramIdentityReport:
     """
     if n not in (8, 12, 16):
         raise ValueError("identities checked for n in {8, 12, 16}")
-    neigh = half_weight_words(n)
+    neigh = connection_set(omega(n))
     table = _sign_row_mask(neigh, n)
     bad_sum = table.shape[1] - 2 * table.sum(axis=1, dtype=np.int64) != -(n // 2)
     bad_product = _sign_incidence_product(table, n) != -1
@@ -387,7 +386,7 @@ def neighbourhood_gram_spectrum(n: int) -> GramSpectrumReport:
     if n not in (8, 12, 16):
         raise ValueError("spectrum checked for n in {8, 12, 16}")
     npairs = comb(n, 2)
-    neigh = half_weight_words(n)
+    neigh = connection_set(omega(n))
     colsign = _column_sign_masks(_sign_row_mask(neigh, n))
     c0 = comb(n, n // 2)
     c1 = c0 - 8 * comb(n - 3, n // 2 - 1)

@@ -128,6 +128,52 @@ def test_doubling_check_rejects_recoloured_psi_16():
         assert not colouring.verify_colouring(cert)
 
 
+def proper_by_class_scan(colour, n):
+    """The pairwise scan the translation check replaced, kept as its slow
+    oracle: no two words of one class are adjacent."""
+    classes = {}
+    for w, c in enumerate(colour):
+        classes.setdefault(c, []).append(w)
+    return not any(
+        adjacent_bits(u, w, n)
+        for cls in classes.values()
+        for i, u in enumerate(cls)
+        for w in cls[i + 1 :]
+    )
+
+
+def test_translation_check_matches_the_class_scan():
+    rng = random.Random(8)
+    colourings = {}
+    real = list(colouring.omega_colouring(4).colour)
+    colourings[4] = [real] + [
+        real[:w] + [c] + real[w + 1 :] for w in range(16) for c in range(4) if c != real[w]
+    ]
+    real = list(colouring.omega_colouring(8).colour)
+    colourings[8] = [real]
+    for _ in range(100):
+        colour = list(real)
+        for w in rng.sample(range(256), rng.randint(1, 3)):
+            colour[w] = rng.randrange(8)
+        colourings[8].append(colour)
+    for n, flips in ((6, range(64)), (10, rng.sample(range(1024), 6))):
+        real = list(colouring.bipartite_colouring(n).colour)
+        colourings[n] = [real] + [real[:w] + [1 - real[w]] + real[w + 1 :] for w in flips]
+    for n in (4, 6, 8):
+        # classes {u, u ^ d}: improper exactly along the one difference d
+        colourings[n] += [[min(u, u ^ d) for u in range(1 << n)] for d in range(1, 1 << n)]
+    outcomes = set()
+    for n, cases in colourings.items():
+        for colour in cases:
+            proper = proper_by_class_scan(colour, n)
+            rank = {c: i for i, c in enumerate(sorted(set(colour)))}
+            dense = tuple(rank[c] for c in colour)
+            cert = colouring.ColouringCertificate(omega(n), dense, len(rank))
+            assert colouring.verify_colouring(cert) is proper
+            outcomes.add(proper)
+    assert outcomes == {True, False}
+
+
 def test_omega_colouring_dimensions():
     assert colouring.omega_colouring(1).palette_size == 1
     assert colouring.omega_colouring(6).palette_size == 2

@@ -1,4 +1,6 @@
-"""Vertex encoding, adjacency, quotient maps, and recursive-graph counts."""
+"""Vertex encoding, adjacency, connection sets, quotient maps, and
+recursive-graph counts, against brute-force filters and the doubling
+recursions the connection sets replaced."""
 
 import random
 from fractions import Fraction
@@ -11,6 +13,10 @@ from ortho_lab.graphs import (
     Family,
     VertexWord,
     adjacent_bits,
+    connection_set,
+    double_word,
+    full_mask,
+    neighbours,
     omega,
     psi,
     y_quotient,
@@ -132,10 +138,10 @@ def y_neighbours_by_filter(base, n):
     )
 
 
-def test_half_weight_words_are_the_connection_set():
-    for n in range(1, 13):
+def test_omega_connection_set_is_the_filter():
+    for n in range(1, 17):
         want = [w for w in range(1 << n) if adjacent_bits(0, w, n)]
-        assert graphs.half_weight_words(n) == want
+        assert connection_set(omega(n)) == want
         assert len(want) == graphs.degree_of(n)
 
 
@@ -152,11 +158,11 @@ def test_y_neighbours_match_the_filter():
         (16, rng.sample(graphs.y_vertices(16), 3)),
     ):
         for base in bases:
-            assert graphs.y_neighbours_bits(base, n) == y_neighbours_by_filter(base, n)
+            assert neighbours(y_quotient(n), base) == y_neighbours_by_filter(base, n)
 
 
 def test_y_neighbours_are_canonical_and_counted():
-    nb = graphs.y_neighbours_bits(0, 8)
+    nb = neighbours(y_quotient(8), 0)
     assert len(nb) == 35
     assert all(graphs.is_y_canonical(b, 8) for b in nb)
     assert nb == sorted(nb)
@@ -175,11 +181,79 @@ def test_y_quotient_of_4_is_complete():
 
 # --- recursive graph ----------------------------------------------------------
 
+# the recursions the connection set replaced, kept as slow oracles
+
+def psi_edges_by_recursion(n):
+    """A copy of the dimension-m graph inside each copy r of the doubling
+    partition, plus a complete join of copies r and r-bar."""
+    if n == 1:
+        return
+    m = n // 2
+    inner = list(psi_edges_by_recursion(m))
+    for r in range(0, 1 << m, 2):  # one copy pair per {r, complement(r)}
+        rc = r ^ full_mask(m)
+        for u, v in inner:
+            yield double_word(u, r, m), double_word(v, r, m)
+            yield double_word(u, rc, m), double_word(v, rc, m)
+        for x in range(1 << m):
+            a = double_word(x, r, m)
+            for y in range(1 << m):
+                yield a, double_word(y, rc, m)
+
+
+def psi_edge_count_by_recursion(n):
+    if n == 1:
+        return 0
+    m = n // 2
+    return (1 << (m - 1)) * (2 * psi_edge_count_by_recursion(m) + (1 << (2 * m)))
+
+
 def test_psi_edges_match_brute_force_for_small_n():
     for n in (1, 2, 4):
         edges = list(graphs.psi_edges(n))
         assert len(edges) == graphs.psi_edge_count(n)
         assert len(edges) == len({tuple(sorted(e)) for e in edges})
+
+
+def test_psi_edges_match_the_recursion():
+    for n in (1, 2, 4, 8):
+        edges = list(graphs.psi_edges(n))
+        assert all(a < b for a, b in edges) and len(set(edges)) == len(edges)
+        assert set(edges) == {tuple(sorted(e)) for e in psi_edges_by_recursion(n)}
+
+
+def test_psi_edge_count_matches_the_recursion():
+    for k in range(9):
+        assert graphs.psi_edge_count(1 << k) == psi_edge_count_by_recursion(1 << k)
+
+
+def test_psi_connection_set_sizes():
+    sizes = [len(connection_set(psi(1 << k))) for k in range(5)]
+    assert sizes == [0, 2, 6, 22, 278]
+    for k, size in enumerate(sizes):
+        assert (1 << ((1 << k) - 1)) * size == graphs.psi_edge_count(1 << k)
+    for n in range(2, 17, 2):
+        assert graphs.degree_of(n) == len(connection_set(omega(n)))
+
+
+def test_psi_refuses_dimensions_that_are_not_powers_of_two():
+    for n in (0, -4):
+        with pytest.raises(ValueError, match="power of two, at least 1"):
+            graphs.psi_edge_count(n)
+        with pytest.raises(ValueError, match=r"dimension must be in 1\.\.64"):
+            list(graphs.psi_edges(n))
+    for n in (3, 12):
+        with pytest.raises(ValueError, match="power of two"):
+            graphs.psi_edge_count(n)
+        with pytest.raises(ValueError, match="power of two"):
+            list(graphs.psi_edges(n))
+
+
+def test_connection_sets_are_listed_only_to_n_16():
+    with pytest.raises(ValueError, match="n <= 16"):
+        connection_set(omega(18))
+    with pytest.raises(ValueError, match="n <= 16"):
+        list(graphs.psi_edges(32))
 
 
 def test_psi_edge_counts_frozen():
@@ -194,7 +268,7 @@ def test_psi_edge_counts_frozen():
 
 def test_psi_edges_are_real_edges_at_n_4():
     # at n=4 the recursive construction reproduces the full graph exactly
-    got = {tuple(sorted(e)) for e in graphs.psi_edges(4)}
+    got = set(graphs.psi_edges(4))
     want = {
         (u, v)
         for u in range(16)

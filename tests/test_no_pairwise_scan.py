@@ -13,7 +13,6 @@ import ortho_lab
 
 ALLOWED = {
     "verify_clique",  # a clique is a set of edges, one per pair
-    "verify_colouring",  # one transform per class would cost palette * 2^n
     "exhaustive_tight_sets",  # the backtracking oracle shares nothing with the search
     "small_odd_family",  # rechecks one witness against every member
 }

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ortho_lab import ratmat, search, spectral
-from ortho_lab.graphs import half_weight_words, y_neighbours_bits, y_vertices
+from ortho_lab.graphs import connection_set, neighbours, omega, y_quotient, y_vertices
 
 
 # --- the Fraction reference ---------------------------------------------------
@@ -156,8 +156,8 @@ def test_rcef_of_empty_and_zero_matrices():
 def test_rank_matches_reference_on_gram_matrices(n):
     # kernel_reduce's extended neighbourhood Gram matrix, and the
     # spectrum's Gram matrix G shifted to q*G - p*I for each eigenvalue p/q
-    neigh = y_neighbours_bits(0, n)
-    words = half_weight_words(n)
+    neigh = neighbours(y_quotient(n), 0)
+    words = connection_set(omega(n))
     colsign = spectral._column_sign_masks(spectral._sign_row_mask(neigh, n))
     grams = [spectral._sign_gram(colsign + [0], len(neigh))]
     colsign = spectral._column_sign_masks(spectral._sign_row_mask(words, n))
@@ -277,7 +277,7 @@ def test_forged_factors_fail_the_factorisation_check(monkeypatch, forge):
     # its factors are forged, so kernel_reduce reaches the Gram minor
     # past the 8 x 29 incidence rank, which the extra pivot would refuse
     # as malformed (row 8 lies outside it)
-    neigh = y_neighbours_bits(0, 8)
+    neigh = neighbours(y_quotient(8), 0)
     colsign = spectral._column_sign_masks(spectral._sign_row_mask(neigh, 8))
     gram = spectral._sign_gram(colsign + [0], len(neigh))
     true_lu = ratmat._modp_lu

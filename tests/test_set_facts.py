@@ -12,14 +12,7 @@ import random
 import pytest
 
 from ortho_lab import certificates, colouring, families, search, spectral
-from ortho_lab.graphs import (
-    Family,
-    adjacent_bits,
-    half_weight_words,
-    omega,
-    y_neighbours_bits,
-    y_quotient,
-)
+from ortho_lab.graphs import adjacent_bits, neighbours, omega, y_quotient
 
 
 # --- oracles ------------------------------------------------------------------
@@ -61,12 +54,6 @@ def translate_disjointness(s_vertices, clique):
 
 
 # --- the sets compared --------------------------------------------------------
-
-def neighbours(kind, x):
-    if kind.family is Family.Y:
-        return y_neighbours_bits(x, kind.n)
-    return [x ^ d for d in half_weight_words(kind.n)]
-
 
 def structured_sets():
     """The n = 8 tight sets and their lifts, the segment families and the

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ortho_lab import search, spectral
-from ortho_lab.graphs import half_weight_words, y_neighbours_bits, y_vertices
+from ortho_lab.graphs import connection_set, neighbours, omega, y_quotient, y_vertices
 
 
 # --- the per-word oracle ------------------------------------------------------
@@ -94,7 +94,7 @@ def test_extended_neighbourhood_gram_matches_the_oracle(n, base):
     # kernel_reduce's Gram matrix: the base's neighbourhood rows plus an
     # all-ones column
     pairs = spectral.two_subset_masks(n)
-    neigh = y_neighbours_bits(base, n)
+    neigh = neighbours(y_quotient(n), base)
     want = column_sign_masks(neigh, pairs)
     got = spectral._column_sign_masks(spectral._sign_row_mask(neigh, n))
     assert got == want
@@ -105,7 +105,7 @@ def test_extended_neighbourhood_gram_matches_the_oracle(n, base):
 
 @pytest.mark.parametrize("n", (8, 12, 16))
 def test_spectrum_gram_matches_the_oracle(n, monkeypatch):
-    words = half_weight_words(n)
+    words = connection_set(omega(n))
     want = column_sign_masks(words, spectral.two_subset_masks(n))
     want = spectral._sign_gram(want, len(words))
     seen = []
@@ -138,7 +138,7 @@ def _flipped(true_table, row, cols):
 
 
 def test_gram_identities_name_a_failing_row(monkeypatch):
-    words = half_weight_words(8)
+    words = connection_set(omega(8))
     pairs = spectral.two_subset_masks(8)
     true_table = spectral._sign_row_mask
     # one flipped entry moves that row's sum
