@@ -60,8 +60,7 @@ def sylvester_clique(k: int) -> CliqueCertificate:
     words = [0]
     m = 1
     for _ in range(k):
-        mask = full_mask(m)
-        words = [w | (w << m) for w in words] + [w | ((w ^ mask) << m) for w in words]
+        words = [double_word(w, r, m) for r in (0, full_mask(m)) for w in words]
         m *= 2
     cert = CliqueCertificate(
         n=m, vertices=tuple(VertexWord(w, m) for w in sorted(words)), size=len(words)

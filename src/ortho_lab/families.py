@@ -93,9 +93,10 @@ def initial_segment_family(n: int) -> FamilyReport:
 def small_odd_family(n: int) -> FamilyReport:
     """All subsets of size below m = n/4 with size not congruent to m mod 2.
     Two members differ in at most 2(m-1) < n/2 places, so the family is
-    independent (also read off the transform up to 2000 members) and its
-    smallest non-member, 0 for even m and 1 for odd m, is addable; that
-    witness is rechecked against every member."""
+    independent (also read off the transform for n <= 16, the limit of
+    ``spectral.indicator``) and its smallest non-member, 0 for even m and
+    1 for odd m, is addable; that witness is rechecked against every
+    member."""
     if n % 4 != 0 or not 8 <= n <= 24:
         raise ValueError("small-odd family defined for n in {8, 12, 16, 20, 24}")
     m = n // 4
@@ -107,7 +108,7 @@ def small_odd_family(n: int) -> FamilyReport:
         for subset in combinations(singletons, size)
     )
     kind = omega(n)
-    if len(members) <= 2000:
+    if n <= 16:
         independent = search.check_independent(members, kind)
         method = "pairwise_scan"
     else:

@@ -1,16 +1,16 @@
 """Dense exact linear algebra on integer matrices.
 
 A matrix comes in as a list of rows of Python ints and is converted to a
-numpy array once, by ``_matrix``, which rejects anything else.  Two kinds
-of elimination run on that array, and the fast one is never trusted:
+numpy array once, by ``_matrix``, which rejects anything else.  One
+elimination runs on that array, and it is never trusted:
 
-- ``nonzero_minor`` eliminates modulo the prime ``PRIME`` in numpy int64
-  and names a square submatrix by its pivot rows and columns.  It checks
-  the LU factors the elimination hands back, L @ U == that submatrix
+- ``_minor`` eliminates modulo the prime ``PRIME`` in numpy int64 and
+  names a square submatrix by its pivot rows and columns.  It checks the
+  LU factors the elimination hands back, L @ U == that submatrix
   (mod PRIME) with L unit lower and U upper triangular with a nonzero
   diagonal, so the submatrix's determinant is nonzero mod PRIME and hence
-  nonzero: its size is a lower bound on the rank over the rationals.
-- ``rcef`` takes its pivot rows and columns from the same elimination,
+  nonzero.
+- ``rcef`` takes its pivot rows and columns from that elimination,
   inverts only the pivot block exactly, and checks the echelon form it
   builds against the input before returning that array (see there).
   ``rank`` is the rank of that checked form.
@@ -132,20 +132,15 @@ def _modp_lu(m: np.ndarray) -> tuple[list[int], list[int], np.ndarray, np.ndarra
     return rows, perm[:r], low, np.triu(lu)
 
 
-def nonzero_minor(a: Matrix) -> tuple[list[int], list[int]]:
-    """Row and column indices of a square submatrix of ``a`` whose
-    determinant is nonzero mod PRIME, so nonzero: its size is a lower
-    bound on the rank of ``a``.  The elimination picks the lex-first
-    independent rows mod PRIME, in increasing order; what is checked here
-    is only that the minor is nonsingular.  Raises ArithmeticError unless
-    the elimination's factors check out: L unit lower triangular, U upper
-    triangular with a nonzero diagonal, entries in [0, PRIME), and
-    L @ U == a[rows][:, cols] mod PRIME."""
-    return _minor(_matrix(a))
-
-
 def _minor(m: np.ndarray) -> tuple[list[int], list[int]]:
-    """``nonzero_minor`` of an array from ``_matrix``."""
+    """Row and column indices of a square submatrix of the array ``m``
+    (from ``_matrix``) whose determinant is nonzero mod PRIME, so nonzero.
+    The elimination picks the lex-first independent rows mod PRIME, in
+    increasing order; what is checked here is only that the minor is
+    nonsingular.  Raises ArithmeticError unless the elimination's factors
+    check out: L unit lower triangular, U upper triangular with a nonzero
+    diagonal, entries in [0, PRIME), and L @ U == m[rows][:, cols] mod
+    PRIME."""
     res = (m % PRIME).astype(np.int64)
     rows, cols, low, up = _modp_lu(res)
     nrows, ncols = res.shape
@@ -213,7 +208,7 @@ def rcef(a: Matrix) -> EchelonResult:
     row.
 
     The pivot rows and columns come from the checked mod-p elimination
-    of ``nonzero_minor``, so the pivot block B is nonsingular.  With
+    of ``_minor``, so the pivot block B is nonsingular.  With
     d * B^-1 from exact Gauss-Jordan on [B | I], the result is
     C = A[:, cols] @ (d * B^-1), divided by its content and padded with
     zero columns to A's width.  Before it is returned, C is checked

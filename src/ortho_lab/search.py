@@ -9,17 +9,17 @@ the collapsed matrix pins each candidate's coordinates to its entries on
 the pivot rows, so candidates are exactly the 0/1 assignments x and the
 scan is exhaustive, not heuristic.
 
-The collapsed matrix and the neighbourhood Gram matrix both come from
-the 0/1 sign table of ``spectral._sign_row_mask``, one numpy step per
-word list.  All three eliminations on this path (incidence rank, Gram
-minor, echelon form) run mod a prime and are checked exactly.  The
-neighbourhood rank is pinned between a Gram-matrix minor whose LU
-factors are checked mod p (a lower bound) and the incidence rows that
-the product check puts in the kernel (an upper bound).  The echelon
-matrix, integers over one scale, takes its pivots from the same checked
-elimination; ``ratmat.rcef`` checks it exactly and returns that array,
-which is checked again here against the product matrix.  The scan runs
-on it in int64 (entry bounds are checked), on row blocks that start
+The collapsed matrix comes from the 0/1 sign table of
+``spectral._sign_row_mask``, built in one numpy step.  The rank
+ledger reads the neighbourhood rank off the Gram spectrum that
+``spectral.neighbourhood_gram_spectrum`` checks (a lower bound), and the
+incidence rows that the product check puts in the kernel give the upper
+bound.  Both eliminations on this path (the incidence rank inside the
+spectrum, the echelon form) run mod a prime and are checked exactly.
+The echelon matrix, integers over one scale, takes its pivots from the
+checked elimination; ``ratmat.rcef`` checks it exactly and returns that
+array, which is checked again here against the product matrix.  The scan
+runs on it in int64 (entry bounds are checked), on row blocks that start
 small and grow, since the first rows drop most candidates; survivors
 are re-verified by ``ratmat``'s exact product before certification.
 """
@@ -79,42 +79,43 @@ class KernelReduction:
 
 def kernel_reduce(n: int, base: int = 0) -> KernelReduction:
     """Run the rank bookkeeping and produce the echelon matrix that drives
-    enumeration.  Aborts unless the ledger closes (the extended incidence
-    matrix has rank n, the neighbourhood kernel has the same dimension,
-    and the neighbourhood rows of the product vanish, so the kernel is
-    exactly the incidence row space) and the echelon rank is n, since
-    the 0/1-pinning argument needs exactly n pivot rows."""
+    enumeration.  Aborts unless the ledger closes (the checked Gram
+    spectrum gives incidence rank n and a neighbourhood kernel of the same
+    dimension, and the neighbourhood rows of the product vanish, so the
+    kernel is exactly the incidence row space) and the echelon rank is n,
+    since the 0/1-pinning argument needs exactly n pivot rows."""
     if n not in PIPELINE_DIMS:
         raise ValueError("kernel reduction runs for n in {8, 12, 16}")
     _require_canonical(base, n)
     npairs = comb(n, 2)
 
-    inc_ext = [row + [1] for row in spectral.pair_incidence(n).tolist()]
-    incidence_rank = ratmat.rank(inc_ext)
-
-    # rank of the extended neighbourhood sign rows A, pinned from both
-    # sides.  Lower bound from a checked minor: a minor of the Gram matrix
-    # A^T A that is nonzero mod p shows rank(A) >= rank(A^T A) >= its size.
-    # Upper bound from the incidence kernel: A's rows times the base's +-1
-    # pair signs are the sign rows the product uses, so once product_zero
-    # (below) holds, the extended incidence rows times the same signs lie
-    # in A's kernel, and rank(A) <= (npairs + 1) - incidence_rank.  The
-    # ledger demands that the bounds meet, so the rank is exact.
-    neigh = neighbours(y_quotient(n), base)
-    colsign = spectral._column_sign_masks(spectral._sign_row_mask(neigh, n))
-    colsign.append(0)  # the all-ones column
-    minor_rows, _ = ratmat.nonzero_minor(spectral._sign_gram(colsign, len(neigh)))
-    neighbourhood_rank = len(minor_rows)
+    # The neighbourhood rank is that of A_ext, the neighbourhood sign rows
+    # A plus an all-ones column, in the base-shifted frame the product
+    # uses: its rows at neigh >> 2 are the sign rows of
+    # connection_set(y_quotient(n)).  Complementing a word keeps its
+    # parity on every pair, so those rows are exactly Omega's, and
+    # rank(A_ext) >= rank A = rank G for the Gram matrix G the spectrum
+    # checks: the sum of its nonzero multiplicities.  Once product_zero
+    # (below) holds, the extended incidence rows lie in A_ext's kernel,
+    # so rank(A_ext) <= (npairs + 1) - r for r = rank B = 1 + (the
+    # multiplicity of 0).  The ledger demands that the bounds meet.
+    spectrum = spectral.neighbourhood_gram_spectrum(n)
+    mults = list(zip(spectrum.eigenvalues, spectrum.multiplicities))
+    neighbourhood_rank = sum(m for lam, m in mults if lam)
+    incidence_rank = 1 + sum(m for lam, m in mults if not lam)
     kernel_dim = (npairs + 1) - neighbourhood_rank
 
     # the neighbourhood rows of the collapsed matrix must vanish
+    neigh = neighbours(y_quotient(n), base)
     product = _product_rows(n, base)
     product_zero = not product[np.array(neigh) >> 2].any()
-    if not (incidence_rank == n and kernel_dim == incidence_rank and product_zero):
+    if not (
+        spectrum.ok and incidence_rank == n and kernel_dim == incidence_rank and product_zero
+    ):
         raise ArithmeticError(
-            f"rank ledger does not close: incidence rank {incidence_rank}, "
-            f"kernel dimension {kernel_dim}, neighbourhood product zero "
-            f"{product_zero}"
+            f"rank ledger does not close: Gram spectrum checked {spectrum.ok}, "
+            f"incidence rank {incidence_rank}, kernel dimension {kernel_dim}, "
+            f"neighbourhood product zero {product_zero}"
         )
 
     echelon = ratmat.rcef(product.tolist())

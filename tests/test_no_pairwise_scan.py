@@ -2,7 +2,10 @@
 
 Set facts come from the Walsh transform, so pairwise adjacency scans do
 not grow back: ``adjacent_bits`` is called only from the functions in
-ALLOWED.  A colouring is one colour list from emitter to verifier, so
+ALLOWED.  The neighbourhood Gram matrix is built once, by the spectrum
+that checks it, and the search reads its rank ledger from that spectrum,
+so ``_sign_gram`` is called only from ``neighbourhood_gram_spectrum``.
+A colouring is one colour list from emitter to verifier, so
 no function that takes or returns a colouring certificate builds a
 ``VertexWord``, directly or through the certificate's ``classes``."""
 
@@ -32,17 +35,21 @@ def _name(node):
     return getattr(node, "id", None) or getattr(node, "attr", None)
 
 
-def _callers() -> set[str]:
+def _callers(callee: str) -> set[str]:
     found = set()
     for file_name, top in _top_level():
         for node in ast.walk(top):
-            if isinstance(node, ast.Call) and _name(node.func) == "adjacent_bits":
+            if isinstance(node, ast.Call) and _name(node.func) == callee:
                 found.add(getattr(top, "name", f"{file_name}:{node.lineno}"))
     return found
 
 
 def test_adjacent_bits_is_called_only_from_the_allowlist():
-    assert _callers() <= ALLOWED
+    assert _callers("adjacent_bits") <= ALLOWED
+
+
+def test_only_the_spectrum_builds_a_sign_gram_matrix():
+    assert _callers("_sign_gram") == {"neighbourhood_gram_spectrum"}
 
 
 def test_colouring_path_builds_no_vertex_words():

@@ -130,7 +130,7 @@ def test_rcef_matches_reference_on_random_rank_deficient_matrices():
         assert_matches_reference(a)
         exact = len(rref(a)[1])
         assert ratmat.rank(a) == exact
-        assert len(ratmat.nonzero_minor(a)[0]) == exact
+        assert len(ratmat._minor(ratmat._matrix(a))[0]) == exact
 
 
 def test_rcef_matches_reference_beyond_int64():
@@ -140,7 +140,7 @@ def test_rcef_matches_reference_beyond_int64():
         assert_matches_reference(random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6), 2**70))
         a = random_rank_deficient(rng, rng.randint(1, 7), rng.randint(1, 7), 2**40)
         assert_matches_reference(a)
-        assert len(ratmat.nonzero_minor(a)[0]) == len(rref(a)[1])
+        assert len(ratmat._minor(ratmat._matrix(a))[0]) == len(rref(a)[1])
 
 
 def test_rcef_of_empty_and_zero_matrices():
@@ -154,7 +154,7 @@ def test_rcef_of_empty_and_zero_matrices():
 
 @pytest.mark.parametrize("n", (8, 12))
 def test_rank_matches_reference_on_gram_matrices(n):
-    # kernel_reduce's extended neighbourhood Gram matrix, and the
+    # the extended neighbourhood Gram matrix A_ext^T A_ext, and the
     # spectrum's Gram matrix G shifted to q*G - p*I for each eigenvalue p/q
     neigh = neighbours(y_quotient(n), 0)
     words = connection_set(omega(n))
@@ -171,7 +171,7 @@ def test_rank_matches_reference_on_gram_matrices(n):
     exact = [len(rref(g)[1]) for g in grams]
     for g, r in zip(grams, exact):
         assert ratmat.rank(g) == r
-        assert len(ratmat.nonzero_minor(g)[0]) == r
+        assert len(ratmat._minor(ratmat._matrix(g))[0]) == r
     # the shifted ranks are the slow exact oracle for the multiplicities
     # the spectrum derives from the incidence rank
     assert tuple(comb(n, 2) - r for r in exact[1:]) == spectrum.multiplicities
@@ -239,7 +239,7 @@ def test_unlucky_prime_is_refused(a):
     # over the rationals each matrix has more rank than mod p, or the same
     # rank with an earlier pivot row, so the mod-p pivots give a wrong form:
     # the bound stays a lower bound, and rcef refuses rather than return it
-    assert len(ratmat.nonzero_minor(a)[0]) <= len(rref(a)[1])
+    assert len(ratmat._minor(ratmat._matrix(a))[0]) <= len(rref(a)[1])
     with pytest.raises(ArithmeticError):
         ratmat.rcef(a)
     with pytest.raises(ArithmeticError):
@@ -273,24 +273,32 @@ def _forge_extra_pivot(rows, cols, low, up):
     "forge", (_forge_l, _forge_u, _forge_extra_pivot), ids=("L", "U", "extra-pivot")
 )
 def test_forged_factors_fail_the_factorisation_check(monkeypatch, forge):
-    # the 29 x 29 Gram matrix of kernel_reduce(8) has mod-p rank 21; only
-    # its factors are forged, so kernel_reduce reaches the Gram minor
-    # past the 8 x 29 incidence rank, which the extra pivot would refuse
-    # as malformed (row 8 lies outside it)
+    # the 29 x 29 extended neighbourhood Gram matrix at n = 8 has mod-p
+    # rank 21, so even the extra pivot is a well-formed claim that only
+    # the product of the factors refutes
     neigh = neighbours(y_quotient(8), 0)
     colsign = spectral._column_sign_masks(spectral._sign_row_mask(neigh, 8))
     gram = spectral._sign_gram(colsign + [0], len(neigh))
     true_lu = ratmat._modp_lu
 
-    def forged_on_gram(m):
-        factors = true_lu(m)
-        return forge(*factors) if m.shape == (29, 29) else factors
+    def forged_on(shape):
+        def lu(m):
+            factors = true_lu(m)
+            return forge(*factors) if m.shape == shape else factors
 
-    monkeypatch.setattr(ratmat, "_modp_lu", forged_on_gram)
+        return lu
+
+    monkeypatch.setattr(ratmat, "_modp_lu", forged_on((29, 29)))
     with pytest.raises(ArithmeticError, match="do not multiply"):
-        ratmat.nonzero_minor(gram)
-    with pytest.raises(ArithmeticError, match="do not multiply"):
-        search.kernel_reduce(8)
+        ratmat._minor(ratmat._matrix(gram))
+    # kernel_reduce(8) eliminates the 8 x 28 incidence matrix (inside the
+    # spectrum) and the 64 x 8 product rows, both of full rank 8: there an
+    # extra pivot lies outside the matrix and is refused as malformed
+    match = "malformed" if forge is _forge_extra_pivot else "do not multiply"
+    for shape in ((8, 28), (64, 8)):
+        monkeypatch.setattr(ratmat, "_modp_lu", forged_on(shape))
+        with pytest.raises(ArithmeticError, match=match):
+            search.kernel_reduce(8)
 
 
 @pytest.mark.parametrize(
@@ -342,7 +350,7 @@ def test_factors_of_a_singular_block_are_refused(monkeypatch, a, low, up):
     rows = cols = list(range(len(a)))
     monkeypatch.setattr(ratmat, "_modp_lu", lambda m: (rows, cols, np.array(low), np.array(up)))
     with pytest.raises(ArithmeticError, match="malformed"):
-        ratmat.nonzero_minor(a)
+        ratmat._minor(ratmat._matrix(a))
 
 
 # --- the boundary -------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Kernel reduction and the tight-independent-set enumeration."""
 
 import dataclasses
+import random
 from math import comb
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from ortho_lab import ratmat, search, spectral
 from ortho_lab.graphs import (
     VertexWord,
+    connection_set,
     omega,
     y_canonical_bits,
     y_quotient,
@@ -39,29 +41,28 @@ def test_kernel_reduce_n8():
 def test_kernel_reduce_checks_its_rank_ledger(monkeypatch):
     true_rank = ratmat.rank
     monkeypatch.setattr(ratmat, "rank", lambda a: true_rank(a) - 1)
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ArithmeticError, match="rank ledger"):
         search.kernel_reduce(8)
     monkeypatch.undo()
 
-    # the Gram matrix's mod-p rank forged one too high and one too low,
-    # past the minor's own check; the echelon form takes its minor from
-    # ratmat._minor, which stays honest, so only the ledger can object
-    true_minor = ratmat.nonzero_minor
+    # the spectrum's multiplicities moved by one between N - r and r - 1,
+    # past the spectrum's own checks, and a report whose checks failed:
+    # only the ledger can object
+    true_spectrum = spectral.neighbourhood_gram_spectrum
 
-    def forged(shift):
-        def minor(a):
-            rows, cols = true_minor(a)
-            if shift < 0:
-                return rows[:-1], cols[:-1]
-            spare = min(set(range(len(a))) - set(rows))
-            return rows + [spare], cols + [min(set(range(len(a))) - set(cols))]
+    def forged(**changes):
+        return lambda n: dataclasses.replace(true_spectrum(n), **changes)
 
-        return minor
-
+    one, kernel, incidence = true_spectrum(8).multiplicities
     for shift in (1, -1):
-        monkeypatch.setattr(ratmat, "nonzero_minor", forged(shift))
+        mults = (one, kernel + shift, incidence - shift)
+        monkeypatch.setattr(spectral, "neighbourhood_gram_spectrum", forged(multiplicities=mults))
+        assert spectral.neighbourhood_gram_spectrum(8).ok
         with pytest.raises(ArithmeticError, match="rank ledger"):
             search.kernel_reduce(8)
+    monkeypatch.setattr(spectral, "neighbourhood_gram_spectrum", forged(trace_ok=False))
+    with pytest.raises(ArithmeticError, match="rank ledger"):
+        search.kernel_reduce(8)
 
 
 def test_echelon_is_checked_against_the_product_rows(monkeypatch):
@@ -170,9 +171,9 @@ def test_echelon_checks_stay_exact_at_the_int64_edge(monkeypatch, row, match):
 
 
 def test_search_converts_each_matrix_once(monkeypatch):
-    # one list-to-array conversion per matrix: the 64 x 8 product rows,
-    # the 29 x 29 neighbourhood Gram matrix and the 8 x 29 extended
-    # incidence matrix; rcef's minor and its echelon form reuse the first
+    # one list-to-array conversion per matrix: the 64 x 8 product rows
+    # and the spectrum's 8 x 28 incidence matrix; rcef's minor and its
+    # echelon form reuse the first, and no Gram matrix is eliminated
     seen = []
     true_matrix = ratmat._matrix
 
@@ -183,7 +184,32 @@ def test_search_converts_each_matrix_once(monkeypatch):
 
     monkeypatch.setattr(ratmat, "_matrix", recording)
     search.enumerate_candidates(8)
-    assert sorted(seen) == [(8, 29), (29, 29), (64, 8)]
+    assert sorted(seen) == [(8, 28), (64, 8)]
+
+
+@pytest.mark.parametrize("n", (8, 12, 16))
+def test_neighbourhood_sign_rows_are_omegas(n):
+    # the product's neighbourhood rows are the sign rows of the quotient's
+    # connection set; complementing a word keeps its parity on every pair,
+    # so they are Omega's sign rows, each of which Omega lists twice
+    def rows(kind):
+        return [r.tobytes() for r in spectral._sign_row_mask(connection_set(kind), n)]
+
+    quotient, full = rows(y_quotient(n)), rows(omega(n))
+    assert set(quotient) == set(full)
+    assert len(set(quotient)) == len(quotient) == len(full) // 2
+
+
+@pytest.mark.parametrize("n", (8, 12, 16))
+def test_shifted_base_permutes_the_product_rows(n):
+    # row a >> 2 of the base-b product is row (a ^ b) >> 2 of the base-0
+    # one: every base at n = 8, three seeded ones above
+    words = np.array(y_vertices(n))
+    bases = words if n == 8 else random.Random(n).sample(words[1:].tolist(), 3)
+    plain = search._product_rows(n, 0)
+    for base in bases:
+        want = plain[(words ^ base) >> 2]
+        assert np.array_equal(search._product_rows(n, int(base)), want)
 
 
 def test_kernel_reduce_rejects_degenerate_dimension():

@@ -91,8 +91,8 @@ def test_pair_incidence_matches_the_pair_masks():
 
 @pytest.mark.parametrize("n, base", [(8, 0), (8, 0x3C), (12, 0x3C), (16, 0), (16, 0x44CA)])
 def test_extended_neighbourhood_gram_matches_the_oracle(n, base):
-    # kernel_reduce's Gram matrix: the base's neighbourhood rows plus an
-    # all-ones column
+    # the extended neighbourhood Gram matrix: the base's neighbourhood
+    # rows plus an all-ones column
     pairs = spectral.two_subset_masks(n)
     neigh = neighbours(y_quotient(n), base)
     want = column_sign_masks(neigh, pairs)
