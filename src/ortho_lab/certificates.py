@@ -87,9 +87,11 @@ def dumps(obj) -> str:
 def validate_envelope(obj) -> tuple[str, int, dict]:
     if not isinstance(obj, dict):
         raise ValueError("envelope must be a JSON object")
-    for key in ("schema_version", "kind", "n", "produced_by", "payload"):
-        if key not in obj:
-            raise ValueError(f"envelope missing {key!r}")
+    keys = {"schema_version", "kind", "n", "produced_by", "payload"}
+    if set(obj) != keys:
+        raise ValueError(f"envelope keys must be {sorted(keys)}, got {sorted(obj)}")
+    if obj["produced_by"] != TOOL_VERSION:
+        raise ValueError(f"certificate produced by {obj['produced_by']!r}, not {TOOL_VERSION!r}")
     if strict_int(obj["schema_version"], "schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {obj['schema_version']!r}")
     kind = obj["kind"]

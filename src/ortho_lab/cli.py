@@ -170,7 +170,7 @@ def _run_verify(args) -> int:
         return 1
     try:
         problems = _recheck(kind, n, payload)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         print(f"FAIL: {kind} certificate could not be rechecked: {exc}", file=sys.stderr)
         return 1
     if problems:

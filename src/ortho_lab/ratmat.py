@@ -5,19 +5,24 @@ numpy array once, by ``_matrix``, which rejects anything else.  One
 elimination runs on that array, and it is never trusted:
 
 - ``_minor`` eliminates modulo the prime ``PRIME`` in numpy int64 and
-  names a square submatrix by its pivot rows and columns.  It checks the
-  LU factors the elimination hands back, L @ U == that submatrix
-  (mod PRIME) with L unit lower and U upper triangular with a nonzero
-  diagonal, so the submatrix's determinant is nonzero mod PRIME and hence
-  nonzero.
-- ``rcef`` takes its pivot rows and columns from that elimination,
-  inverts only the pivot block exactly, and checks the echelon form it
-  builds against the input before returning that array (see there).
-  ``rank`` is the rank of that checked form.
-- The pivot block is inverted by fraction-free Gauss-Jordan (E. H.
-  Bareiss, "Sylvester's identity and multistep integer-preserving
-  Gaussian elimination", Math. Comp. 22, 1968): each entry stays an
-  integer minor of the block and every division is exact.
+  names pivot rows and columns.  Nothing about them is checked there.
+- ``rcef`` inverts the pivot block B they name exactly, by fraction-free
+  Gauss-Jordan (E. H. Bareiss, "Sylvester's identity and multistep
+  integer-preserving Gaussian elimination", Math. Comp. 22, 1968): each
+  entry stays an integer minor of B and every division is exact.
+  ``rank`` is the rank of the form ``rcef`` builds.
+
+Three exact checks make the whole proof of that form:
+
+- ``_inverse`` succeeds only if B is nonsingular over the integers, so
+  the rank of A is at least r, the number of pivots;
+- ``_echelon_identity`` gives C @ A[piv] == scale * A, so the rank is at
+  most r and C spans the column space;
+- the vanishing checks and the gcd check make C the reduced form, whose
+  pivot rows are the lex-first ones over the rationals.
+
+A prime that hides a pivot fails one of them, and ArithmeticError is
+raised; there is no fallback.
 
 Every product is exact: ``_dot`` runs in int64 only when no partial sum
 can reach 2^63, and on Python ints otherwise.
@@ -96,15 +101,14 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x.astype(kind, copy=False) @ y.astype(kind, copy=False)
 
 
-def _modp_lu(m: np.ndarray) -> tuple[list[int], list[int], np.ndarray, np.ndarray]:
-    """Gaussian elimination of the residues ``m`` (int64 in [0, PRIME)) by
-    column operations.  Each step's pivot row is the first row below the
-    last one with a nonzero entry in a column that is not yet a pivot, so
-    the pivot rows increase and are the lex-first independent rows mod
-    PRIME.  Returns the pivot rows, the pivot columns, and factors L (unit
-    lower triangular) and U (upper triangular) with
-    L @ U == m[rows][:, cols] mod PRIME.  ``_minor`` checks all of it."""
-    work = m.copy()
+def _minor(m: np.ndarray) -> tuple[list[int], list[int]]:
+    """Pivot rows and columns of Gaussian elimination of the array ``m``
+    (from ``_matrix``) modulo the prime PRIME, by column operations.  Each
+    step's pivot row is the first row below the last one with a nonzero
+    entry in a column that is not yet a pivot, so the pivot rows increase
+    and are the lex-first independent rows mod PRIME.  The output is
+    untrusted: ``_echelon`` proves the rank from it exactly, or raises."""
+    work = (m % PRIME).astype(np.int64)
     nrows, ncols = work.shape
     perm = list(range(ncols))
     rows: list[int] = []
@@ -122,57 +126,16 @@ def _modp_lu(m: np.ndarray) -> tuple[list[int], list[int], np.ndarray, np.ndarra
         below -= work[i + 1 :, c, None] * factors
         below %= PRIME
         rows.append(i)
-    r = len(rows)
-    # row rows[l] is never touched after step l and column l is never
-    # touched after it either, so lu holds L below its diagonal (times the
-    # pivot) and U on and above it
-    lu = work[rows, :r]
-    inverses = np.array([pow(int(d), PRIME - 2, PRIME) for d in np.diag(lu)], dtype=np.int64)
-    low = np.tril(lu, -1) * inverses % PRIME + np.eye(r, dtype=np.int64)
-    return rows, perm[:r], low, np.triu(lu)
-
-
-def _minor(m: np.ndarray) -> tuple[list[int], list[int]]:
-    """Row and column indices of a square submatrix of the array ``m``
-    (from ``_matrix``) whose determinant is nonzero mod PRIME, so nonzero.
-    The elimination picks the lex-first independent rows mod PRIME, in
-    increasing order; what is checked here is only that the minor is
-    nonsingular.  Raises ArithmeticError unless the elimination's factors
-    check out: L unit lower triangular, U upper triangular with a nonzero
-    diagonal, entries in [0, PRIME), and L @ U == m[rows][:, cols] mod
-    PRIME."""
-    res = (m % PRIME).astype(np.int64)
-    rows, cols, low, up = _modp_lu(res)
-    nrows, ncols = res.shape
-    r = len(rows)
-    if not (
-        len(set(rows)) == len(set(cols)) == len(cols) == r
-        and all(0 <= i < nrows for i in rows)
-        and all(0 <= j < ncols for j in cols)
-        and low.shape == up.shape == (r, r)
-        and ((low >= 0) & (low < PRIME) & (up >= 0) & (up < PRIME)).all()
-        and np.array_equal(low, np.tril(low))
-        and (np.diag(low) == 1).all()
-        and np.array_equal(up, np.triu(up))
-        and np.diag(up).all()
-    ):
-        raise ArithmeticError("mod-p elimination returned malformed factors")
-    low, up = low.astype(np.int64), up.astype(np.int64)
-    prod = np.zeros((r, r), dtype=np.int64)
-    for k in range(r):
-        # a term is below PRIME^2 < 2^62 and prod below PRIME: no overflow
-        prod = (prod + low[:, k, None] * up[k]) % PRIME
-    if not np.array_equal(prod, res[rows][:, cols]):
-        raise ArithmeticError("mod-p factors do not multiply to the pivot block")
-    return [int(i) for i in rows], [int(j) for j in cols]
+    return rows, perm[: len(rows)]
 
 
 def _inverse(b: Matrix) -> tuple[Matrix, int]:
-    """(m, d) with m == d * B^-1 for a square block B that ``_minor`` has
-    shown is nonsingular, by fraction-free Gauss-Jordan on [B | I]: each
-    entry stays an integer minor and every division is exact, and d is the
-    last pivot, plus or minus det B.  A column without a pivot raises
-    ArithmeticError."""
+    """(m, d) with m == d * B^-1 for a square block B, by fraction-free
+    Gauss-Jordan on [B | I]: each entry stays an integer minor and every
+    division is exact, and d is the last pivot, plus or minus det B.  A
+    column without a pivot raises ArithmeticError, so a return is the
+    exact proof that B is nonsingular: the rows and columns ``_minor``
+    named for it are independent over the rationals."""
     r = len(b)
     m = [row + [int(t == k) for k in range(r)] for t, row in enumerate(b)]
     d = 1
@@ -194,7 +157,8 @@ def _inverse(b: Matrix) -> tuple[Matrix, int]:
 def _echelon_identity(c: np.ndarray, scale: int, piv: list[int], a: np.ndarray) -> bool:
     """C[piv] == scale * I and C @ A[piv] == scale * A, with exact
     products, where C's columns past the rank r = len(piv) are left out of
-    the product: then A has rank r and C spans its column space."""
+    the product: then A has rank at most r and its columns lie in the
+    span of C's first r columns."""
     r = len(piv)
     eye = scale * np.eye(r, c.shape[1], dtype=c.dtype)
     scaled = a.astype(_exact(_absmax(a) * scale), copy=False) * scale
@@ -207,17 +171,12 @@ def rcef(a: Matrix) -> EchelonResult:
     strictly increasing pivot rows, each a multiple of a standard basis
     row.
 
-    The pivot rows and columns come from the checked mod-p elimination
-    of ``_minor``, so the pivot block B is nonsingular.  With
-    d * B^-1 from exact Gauss-Jordan on [B | I], the result is
-    C = A[:, cols] @ (d * B^-1), divided by its content and padded with
-    zero columns to A's width.  Before it is returned, C is checked
-    exactly: ``_echelon_identity`` holds (so A has rank r and C spans its
-    column space), the rows before pivot k vanish from column k on and
-    every row vanishes past column r (so the form is the reduced one,
-    whose pivot rows are lex-first over the rationals), and
-    gcd(scale, C) is 1.  If the prime hid a pivot, one of these fails and
-    ArithmeticError is raised; there is no fallback.
+    The pivot rows and columns come from the untrusted mod-p elimination
+    of ``_minor``.  With d * B^-1 from ``_inverse`` on the pivot block B,
+    the result is C = A[:, cols] @ (d * B^-1), divided by its content and
+    padded with zero columns to A's width.  Before it is returned, C
+    passes the exact checks listed in the module docstring, which prove
+    it is the reduced form of A, or ArithmeticError is raised.
     """
     return _echelon(_matrix(a))
 

@@ -15,10 +15,10 @@ ledger reads the neighbourhood rank off the Gram spectrum that
 ``spectral.neighbourhood_gram_spectrum`` checks (a lower bound), and the
 incidence rows that the product check puts in the kernel give the upper
 bound.  Both eliminations on this path (the incidence rank inside the
-spectrum, the echelon form) run mod a prime and are checked exactly.
-The echelon matrix, integers over one scale, takes its pivots from the
-checked elimination; ``ratmat.rcef`` checks it exactly and returns that
-array, which is checked again here against the product matrix.  The scan
+spectrum, the echelon form) guess their pivots mod a prime and prove
+them exactly.  The echelon matrix, integers over one scale, is the one
+``ratmat.rcef`` has checked exactly, and it is checked again here
+against the product matrix.  The scan
 runs on it in int64 (entry bounds are checked), on row blocks that start
 small and grow, since the first rows drop most candidates; survivors
 are re-verified by ``ratmat``'s exact product before certification.

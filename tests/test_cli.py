@@ -66,9 +66,13 @@ def test_validate_envelope_rejects_malformed_objects():
     with pytest.raises(ValueError):
         certificates.validate_envelope({"kind": "bound"})
     good = certificates.envelope("bound", 8, {})
-    bad = dict(good, schema_version=1)
-    with pytest.raises(ValueError):
-        certificates.validate_envelope(bad)
+    for bad in (
+        dict(good, schema_version=1),
+        dict(good, verdict="chromatic number 3"),
+        dict(good, produced_by="ortho-lab 9.9.9"),
+    ):
+        with pytest.raises(ValueError):
+            certificates.validate_envelope(bad)
 
 
 # --- subcommands --------------------------------------------------------------
@@ -382,6 +386,17 @@ def test_verify_rejects_malformed_json(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err.count("FAIL:") == 1 and "Traceback" not in err
+    # nesting just under the parser's limit, which a later step may still
+    # reach: a payload key whose value nests `depth` lists deep
+    run_cli(["bound", "--n", "8", "--out", str(p)], capsys)
+    head, tail = p.read_text().split('"payload":{', 1)
+    limit = sys.getrecursionlimit()
+    for depth in range(limit - 300, limit + 1):
+        p.write_text(f'{head}"payload":{{"deep":{"[" * depth}{"]" * depth},{tail}')
+        code, out, err = run_cli(["verify", str(p)], capsys)
+        assert code == 1, depth
+        assert out == ""
+        assert err.count("FAIL:") == 1 and "Traceback" not in err, depth
 
 
 def test_verify_rejects_search_with_added_wall_time(tmp_path, capsys):

@@ -1,6 +1,7 @@
-"""Exact integer matrix kernel: checked mod-p minors, the echelon form
-built from them with a fraction-free pivot-block inverse, and the rank
-read from that form, against a Fraction reference."""
+"""Exact integer matrix kernel: untrusted mod-p pivots, the echelon form
+built from them with a fraction-free pivot-block inverse and checked
+exactly, and the rank read from that form, against a Fraction reference.
+Forged pivot claims are refused by the exact checks alone."""
 
 import random
 from fractions import Fraction
@@ -246,78 +247,12 @@ def test_unlucky_prime_is_refused(a):
         ratmat.rank(a)
 
 
-def _forge_l(rows, cols, low, up):
-    low = low.copy()
-    low[1, 0] = (low[1, 0] + 1) % P
-    return rows, cols, low, up
-
-
-def _forge_u(rows, cols, low, up):
-    up = up.copy()
-    up[0, 1] = (up[0, 1] + 1) % P
-    return rows, cols, low, up
-
-
-def _forge_extra_pivot(rows, cols, low, up):
-    # claim one more pivot than there is, with factors of the right shape
-    r = len(rows)
-    spare_row = min(set(range(max(rows) + 2)) - set(rows))
-    spare_col = min(set(range(max(cols) + 2)) - set(cols))
-    grow = np.eye(r + 1, dtype=np.int64)
-    big_low, big_up = grow.copy(), grow.copy()
-    big_low[:r, :r], big_up[:r, :r] = low, up
-    return rows + [spare_row], cols + [spare_col], big_low, big_up
-
-
-@pytest.mark.parametrize(
-    "forge", (_forge_l, _forge_u, _forge_extra_pivot), ids=("L", "U", "extra-pivot")
-)
-def test_forged_factors_fail_the_factorisation_check(monkeypatch, forge):
-    # the 29 x 29 extended neighbourhood Gram matrix at n = 8 has mod-p
-    # rank 21, so even the extra pivot is a well-formed claim that only
-    # the product of the factors refutes
-    neigh = neighbours(y_quotient(8), 0)
-    colsign = spectral._column_sign_masks(spectral._sign_row_mask(neigh, 8))
-    gram = spectral._sign_gram(colsign + [0], len(neigh))
-    true_lu = ratmat._modp_lu
-
-    def forged_on(shape):
-        def lu(m):
-            factors = true_lu(m)
-            return forge(*factors) if m.shape == shape else factors
-
-        return lu
-
-    monkeypatch.setattr(ratmat, "_modp_lu", forged_on((29, 29)))
-    with pytest.raises(ArithmeticError, match="do not multiply"):
-        ratmat._minor(ratmat._matrix(gram))
-    # kernel_reduce(8) eliminates the 8 x 28 incidence matrix (inside the
-    # spectrum) and the 64 x 8 product rows, both of full rank 8: there an
-    # extra pivot lies outside the matrix and is refused as malformed
-    match = "malformed" if forge is _forge_extra_pivot else "do not multiply"
-    for shape in ((8, 28), (64, 8)):
-        monkeypatch.setattr(ratmat, "_modp_lu", forged_on(shape))
-        with pytest.raises(ArithmeticError, match=match):
-            search.kernel_reduce(8)
-
-
-@pytest.mark.parametrize(
-    "forge", (_forge_l, _forge_u, _forge_extra_pivot), ids=("L", "U", "extra-pivot")
-)
-def test_rank_rests_on_the_checked_elimination(monkeypatch, forge):
-    # the incidence rank is the checked echelon form's, so forged mod-p
-    # factors make it refuse instead of answering
-    true_lu = ratmat._modp_lu
-    monkeypatch.setattr(ratmat, "_modp_lu", lambda m: forge(*true_lu(m)))
-    with pytest.raises(ArithmeticError):
-        ratmat.rank(spectral.pair_incidence(8).tolist())
-
-
 def test_fraction_free_elimination_inverts_only_pivot_blocks(monkeypatch):
     # the one fraction-free routine sees the square pivot blocks: of the
     # incidence and the product rows in the search, of the incidence in
     # the spectrum
     assert not hasattr(ratmat, "_gauss_jordan")
+    assert not hasattr(ratmat, "_modp_lu")
     seen = []
     true_inverse = ratmat._inverse
 
@@ -336,21 +271,79 @@ def test_fraction_free_elimination_inverts_only_pivot_blocks(monkeypatch):
         true_inverse([[1, 2, 0], [2, 4, 0], [0, 0, 1]])
 
 
+# --- forged pivots ------------------------------------------------------------
+
+# rank 2, with pivot rows 0 and 1 and a later row 2 that can stand in for 1
+SMALL = [[1, 0, 1], [0, 1, 1], [1, 1, 2]]
+
+
+def _repeat_row(m, rows, cols):
+    return rows[:1] + rows[:-1], cols
+
+
+def _drop_pivot(m, rows, cols):
+    return rows[:-1], cols[:-1]
+
+
+def _later_row(m, rows, cols):
+    """The last pivot row that has a stand-in, a later non-pivot row that
+    keeps the rows increasing and the block nonsingular, replaced by it;
+    the true claim when no pivot row has one."""
+    for k in reversed(range(len(rows))):
+        end = rows[k + 1] if k + 1 < len(rows) else len(m)
+        for q in range(rows[k] + 1, end):
+            trial = rows[:k] + [q] + rows[k + 1 :]
+            if len(rref(m[np.ix_(trial, cols)].tolist())[1]) == len(rows):
+                return trial, cols
+    return rows, cols
+
+
+def _patch_minor(monkeypatch, forge):
+    true_minor = ratmat._minor
+    monkeypatch.setattr(ratmat, "_minor", lambda m: forge(m, *true_minor(m)))
+
+
 @pytest.mark.parametrize(
-    "a, low, up",
+    "forge, message",
     (
-        ([[0]], [[1]], [[0]]),
-        ([[1, 1], [1, 1]], [[1, 1], [1, 1]], [[1, 0], [0, 1]]),
-        ([[1, 1], [1, 1]], [[1, 0], [0, 1]], [[1, 1], [1, 1]]),
+        (_repeat_row, "pivot block is singular"),
+        (_drop_pivot, "echelon form fails its exact check"),
+        (_later_row, "fails its exact check"),
     ),
-    ids=("zero-pivot", "L-not-triangular", "U-not-triangular"),
+    ids=("repeated-row", "dropped-pivot", "later-row"),
 )
-def test_factors_of_a_singular_block_are_refused(monkeypatch, a, low, up):
-    # each pair multiplies out to the block, which is singular
-    rows = cols = list(range(len(a)))
-    monkeypatch.setattr(ratmat, "_modp_lu", lambda m: (rows, cols, np.array(low), np.array(up)))
-    with pytest.raises(ArithmeticError, match="malformed"):
-        ratmat._minor(ratmat._matrix(a))
+def test_forged_pivots_are_refused(monkeypatch, forge, message):
+    # each claim is well formed (as many rows as columns, all in range):
+    # the pivot block's exact inverse refutes a singular one, and the
+    # echelon form's exact check refutes a wrong rank or a pivot row that
+    # is not lex-first
+    incidence = spectral.pair_incidence(8)
+    # every row of the 8 x 28 incidence is a pivot, so no later row can
+    # stand in for one; its 28 x 8 transpose has rows to spare
+    ranked = incidence.T if forge is _later_row else incidence
+    _patch_minor(monkeypatch, forge)
+    with pytest.raises(ArithmeticError, match=message):
+        ratmat.rcef(SMALL)
+    with pytest.raises(ArithmeticError, match=message):
+        ratmat.rank(ranked.tolist())
+    # the spectrum's 8 x 28 incidence rank, then the 64 x 8 product rows
+    with pytest.raises(ArithmeticError, match=message):
+        search.kernel_reduce(8)
+
+
+def test_reversed_pivot_columns_give_the_same_form(monkeypatch):
+    # the check judges the result, not the route: A[:, cols] @ B^-1 does
+    # not depend on the order of the pivot columns
+    rng = random.Random(33)
+    mats = [SMALL, search._product_rows(8, 0x3C).tolist(), random_matrix(rng, 4, 5, 2**70)]
+    mats += [random_rank_deficient(rng, 6, 6) for _ in range(20)]
+    want = [ratmat.rcef(a) for a in mats]
+    _patch_minor(monkeypatch, lambda m, rows, cols: (rows, cols[::-1]))
+    for a, res in zip(mats, want):
+        got = ratmat.rcef(a)
+        assert got.matrix.dtype == res.matrix.dtype
+        assert np.array_equal(got.matrix, res.matrix)
+        assert (got.rank, got.pivot_rows, got.scale) == (res.rank, res.pivot_rows, res.scale)
 
 
 # --- the boundary -------------------------------------------------------------

@@ -159,6 +159,17 @@ def set_envelope_n(data, env):
     return certificates.dumps(env).replace(json.dumps(RAW), data.draw(ENVELOPE_N))
 
 
+def add_or_edit_envelope_key(data, env):
+    if data.draw(st.booleans()):
+        key = data.draw(st.sampled_from(["verdict", "note", "wall_time", "Payload"]))
+        env[key] = data.draw(st.sampled_from(["chromatic number 3", 99.0, None, {}]))
+    else:
+        env["produced_by"] = data.draw(
+            st.sampled_from(["ortho-lab 9.9.9", "ortho-lab 0.1", "", None, ["ortho-lab 0.1.0"]])
+        )
+    return certificates.dumps(env)
+
+
 def truncate(data, env):
     text = certificates.dumps(env)
     # dropping only the trailing newline would leave the same JSON
@@ -178,6 +189,7 @@ SITES = {
     change_a_count: _is_count,
     change_a_type: _is_scalar,
     set_envelope_n: None,
+    add_or_edit_envelope_key: None,
     truncate: None,
     overwrite_a_byte: None,
 }
