@@ -4,6 +4,10 @@ Independence bounds from eigenvalue ratios, kernel-reduction searches
 for tight independent sets, clique-translate colourings, recursive
 subgraph constructions, and JSON certificates for all of it - with no
 floating point anywhere in a proof path.
+
+numpy is imported inside the functions that compute with it, never at
+module level, so a command that does no array work (``bound``, ``psi``,
+a colouring of the recursive graph, and their ``verify``) never loads it.
 """
 
 __version__ = "0.1.0"

@@ -14,13 +14,15 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import colouring as colouring_mod
-from . import families as families_mod
-from . import search as search_mod
-from . import spectral as spectral_mod
 from .graphs import Family, GraphKind, PsiRow, VertexWord
+
+if TYPE_CHECKING:
+    from . import families as families_mod
+    from . import search as search_mod
+    from . import spectral as spectral_mod
 
 SCHEMA_VERSION = 2
 TOOL_VERSION = "ortho-lab 0.1.0"

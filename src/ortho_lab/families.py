@@ -17,8 +17,6 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import search, spectral
 from .graphs import (
     MAX_N,
@@ -60,6 +58,8 @@ class FamilyReport:
 def segment_subsets(n: int) -> list[int]:
     """The qualifying subsets themselves (before quotient
     canonicalization): even size, at least half inside the segment."""
+    import numpy as np
+
     if n not in (8, 16):
         raise ValueError("segment family defined for n in {8, 16}")
     total = popcounts(n)
@@ -150,6 +150,8 @@ class SymdiffReport:
 def symdiff_transform_check(n: int) -> SymdiffReport:
     """XOR every qualifying subset with the segment: the image must be
     exactly the odd subsets of size at most c."""
+    import numpy as np
+
     c = n // 4 - 1
     seg = full_mask(c)
     image = {w ^ seg for w in segment_subsets(n)}

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import comb
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_N = 64
 
@@ -81,6 +82,8 @@ def adjacent_bits(a: int, b: int, n: int) -> bool:
 
 def popcounts(n: int) -> np.ndarray:
     """The popcount of every n-bit word, indexed by the word, by doubling."""
+    import numpy as np
+
     c = np.zeros(1, dtype=np.int64)
     for _ in range(n):
         c = np.concatenate((c, c + 1))
@@ -146,6 +149,9 @@ def connection_set(kind: GraphKind) -> list[int]:
             ]
             m *= 2
         return sorted(s)
+    # not above: the recursive graph's colourings never load numpy
+    import numpy as np
+
     s = np.flatnonzero(popcounts(n) == n // 2).tolist() if n % 2 == 0 else []
     return [d for d in s if not d & 1] if kind.family is Family.Y else s
 

@@ -32,8 +32,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 Matrix = list[list[int]]
 
@@ -60,6 +62,8 @@ def _matrix(a: Matrix) -> np.ndarray:
     in absolute value, else an array of Python ints (numpy object dtype).
     Ragged rows raise ValueError, entries that are not Python ints
     TypeError."""
+    import numpy as np
+
     cols = len(a[0]) if a else 0
     for row in a:
         if len(row) != cols:
@@ -78,6 +82,8 @@ def _matrix(a: Matrix) -> np.ndarray:
 
 def mat_vec(a: np.ndarray, v: np.ndarray) -> list[int]:
     """Exact a @ v, as Python ints."""
+    import numpy as np
+
     a, v = np.asarray(a), np.asarray(v)
     if a.shape[1] != len(v):
         raise ValueError("shape mismatch")
@@ -87,6 +93,8 @@ def mat_vec(a: np.ndarray, v: np.ndarray) -> list[int]:
 def _exact(bound: int) -> type:
     """The dtype in which numpy arithmetic is exact when no intermediate
     value exceeds ``bound`` in absolute value."""
+    import numpy as np
+
     return np.int64 if bound < 2**63 else object
 
 
@@ -108,6 +116,8 @@ def _minor(m: np.ndarray) -> tuple[list[int], list[int]]:
     entry in a column that is not yet a pivot, so the pivot rows increase
     and are the lex-first independent rows mod PRIME.  The output is
     untrusted: ``_echelon`` proves the rank from it exactly, or raises."""
+    import numpy as np
+
     work = (m % PRIME).astype(np.int64)
     nrows, ncols = work.shape
     perm = list(range(ncols))
@@ -159,6 +169,8 @@ def _echelon_identity(c: np.ndarray, scale: int, piv: list[int], a: np.ndarray) 
     products, where C's columns past the rank r = len(piv) are left out of
     the product: then A has rank at most r and its columns lie in the
     span of C's first r columns."""
+    import numpy as np
+
     r = len(piv)
     eye = scale * np.eye(r, c.shape[1], dtype=c.dtype)
     scaled = a.astype(_exact(_absmax(a) * scale), copy=False) * scale
@@ -183,6 +195,8 @@ def rcef(a: Matrix) -> EchelonResult:
 
 def _echelon(full: np.ndarray) -> EchelonResult:
     """``rcef`` of an array from ``_matrix``."""
+    import numpy as np
+
     piv, cols = _minor(full)
     r = len(piv)
     m, d = _inverse(full[np.ix_(piv, cols)].tolist())

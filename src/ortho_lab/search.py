@@ -28,9 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import ratmat, spectral
 from .graphs import (
@@ -42,6 +40,9 @@ from .graphs import (
     y_quotient,
     y_vertices,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 PIPELINE_DIMS = (8, 12, 16)
 
@@ -84,6 +85,8 @@ def kernel_reduce(n: int, base: int = 0) -> KernelReduction:
     dimension, and the neighbourhood rows of the product vanish, so the
     kernel is exactly the incidence row space) and the echelon rank is n,
     since the 0/1-pinning argument needs exactly n pivot rows."""
+    import numpy as np
+
     if n not in PIPELINE_DIMS:
         raise ValueError("kernel reduction runs for n in {8, 12, 16}")
     _require_canonical(base, n)
@@ -191,6 +194,8 @@ def _scan_01_candidates(cint: np.ndarray, scale: int, lo: int, hi: int) -> list[
     rows in blocks of 32, 64, ... up to 1024 rows, each block only on
     the candidates that passed every earlier one: the first rows already
     drop most candidates."""
+    import numpy as np
+
     nrows, nbits = cint.shape
     shifts = np.arange(nbits, dtype=np.int64)[:, None]
     out: list[int] = []
@@ -213,6 +218,8 @@ def _echelon_candidates(n: int, base: int) -> list[list[int]]:
     an int64 scan of the scaled echelon matrix C, once C has been checked
     against the product matrix P it came from, then an exact re-check of
     every survivor."""
+    import numpy as np
+
     red = kernel_reduce(n, base)
     scale = red.echelon.scale
     # an entry beyond int64 raises OverflowError here

@@ -26,9 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import ratmat
 from .graphs import (
@@ -40,6 +38,9 @@ from .graphs import (
     omega,
     y_vertices,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def least_eigenvalue(n: int) -> Fraction:
@@ -112,6 +113,8 @@ def wht(vec: Sequence[int]) -> np.ndarray:
     no output exceeds len * max|entry|, so it runs in int64 below 2^63
     and on Python ints past that.  Applying it twice multiplies by
     len(vec)."""
+    import numpy as np
+
     m = len(vec)
     if m & (m - 1):
         raise ValueError("length must be a power of two")
@@ -144,6 +147,8 @@ def indicator(kind: GraphKind, members: Sequence[int]) -> np.ndarray:
     word w at position w, or w >> 2 in the quotient.  Duplicates, words
     that are not vertices, the recursive graph and n above 16 are input
     errors."""
+    import numpy as np
+
     n = kind.n
     if kind.family is Family.PSI or n > 16:
         raise ValueError("set transforms need the full graph or the quotient, n <= 16")
@@ -169,6 +174,8 @@ def first_addable(kind: GraphKind, members: Sequence[int]) -> Optional[int]:
     None if the set is maximal.  One convolution: wht(zhat * lambda) is v
     times each vertex's count of member neighbours (exact in int64, since
     |zhat|, |lambda| <= 2^16)."""
+    import numpy as np
+
     z = indicator(kind, members)
     counts = wht(wht(z) * adjacency_spectrum(kind))
     free = np.flatnonzero((counts == 0) & (z == 0))
@@ -249,6 +256,8 @@ def _sign_row_mask(words: Sequence[int], n: int) -> np.ndarray:
     """The 0/1 sign table of the words: one row per word, one column per
     pair in ``two_subset_masks`` order, and entry 1 iff the word meets the
     pair in one element (the +-1 sign-matrix entry is -1)."""
+    import numpy as np
+
     w = np.asarray(words, dtype=np.int64)
     bits = ((w[:, None] >> np.arange(n)) & 1).astype(np.uint8)
     i, j = np.triu_indices(n, 1)
@@ -259,6 +268,8 @@ def pair_incidence(n: int) -> np.ndarray:
     """Vertex-pair incidence of the complete graph on [n] as a 0/1 array:
     one row per element, one column per pair in ``two_subset_masks``
     order."""
+    import numpy as np
+
     i, j = np.triu_indices(n, 1)
     v = np.arange(n)[:, None]
     return ((v == i) | (v == j)).astype(np.uint8)
@@ -268,6 +279,8 @@ def _sign_incidence_product(table: np.ndarray, n: int) -> np.ndarray:
     """The +-1 sign matrix of a sign table times the transposed incidence
     matrix, in int64: entry (w, v) sums row w over the n - 1 pairs that
     contain v, which is (n-1) - 2 * (their -1 count)."""
+    import numpy as np
+
     counts = [
         table[:, m.astype(bool)].sum(axis=1, dtype=np.int64) for m in pair_incidence(n)
     ]
@@ -277,6 +290,8 @@ def _sign_incidence_product(table: np.ndarray, n: int) -> np.ndarray:
 def _column_sign_masks(table: np.ndarray) -> list[int]:
     """One mask per column of a sign table: bit idx set iff row idx is -1
     in that column."""
+    import numpy as np
+
     packed = np.packbits(table, axis=0, bitorder="little")
     return [int.from_bytes(col.tobytes(), "little") for col in packed.T]
 
@@ -290,6 +305,8 @@ def _sign_gram(colsign: list[int], rows: int) -> list[list[int]]:
 def _incidence_identities(n: int) -> tuple[np.ndarray, list, bool]:
     """B = pair_incidence(n) in int64, the entries [u, v] where B B^T
     differs from (n-2) I + J, and whether every column of B sums to 2."""
+    import numpy as np
+
     b = pair_incidence(n).astype(np.int64)
     bad = np.argwhere(b @ b.T != (n - 2) * np.eye(n, dtype=np.int64) + 1)
     return b, bad.tolist(), bool((b.sum(axis=0) == 2).all())
@@ -325,6 +342,8 @@ def gram_identities(n: int) -> GramIdentityReport:
     incidence array, in int64 arrays.  A failure names the first failing
     neighbourhood word, or the first failing incidence Gram entry.
     """
+    import numpy as np
+
     if n not in (8, 12, 16):
         raise ValueError("identities checked for n in {8, 12, 16}")
     neigh = connection_set(omega(n))
@@ -383,6 +402,8 @@ def neighbourhood_gram_spectrum(n: int) -> GramSpectrumReport:
     B B^T = (n-2) I + J and column sums 2, G acts as a + b(2n-2) + cN on
     span(1), as a on ker B and as a + b(n-2) on B^T(1-perp), of dimensions
     1, N - r and r - 1 for r = rank(B), computed exactly."""
+    import numpy as np
+
     if n not in (8, 12, 16):
         raise ValueError("spectrum checked for n in {8, 12, 16}")
     npairs = comb(n, 2)
