@@ -239,11 +239,8 @@ def run(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit:
-        raise
-    except (ValueError, NotImplementedError) as exc:
+    except ValueError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
-    return 0
 
 
 def verify(path: str) -> int:

@@ -170,30 +170,22 @@ def bipartite_colouring(n: int) -> ColouringCertificate:
     return cert
 
 
-def _psi_colour_map(n: int) -> tuple[list[int], int]:
-    if n == 1:
-        return [0, 0], 1
-    m = n // 2
-    inner, palette = _psi_colour_map(m)
-    mask = full_mask(m)
-    out = []
-    for w in range(1 << n):
-        x = w & mask
-        r = x ^ (w >> m)
-        # the two sides of a copy pair differ in the lsb of r and are
-        # completely joined, so they get disjoint half-palettes
-        out.append(inner[x] + (palette if r & 1 else 0))
-    return out, 2 * palette
-
-
 def psi_colouring(k: int) -> ColouringCertificate:
     """Recursive colouring of the 2^k-dimensional recursive graph with
-    exactly 2^k colours, verified by the doubling check."""
+    exactly n = 2^k colours, verified by the doubling check.  The two
+    sides of a copy pair differ in the lsb of r and are completely
+    joined, so each level gives them disjoint half-palettes: the colour
+    of w is the XOR-linear map sum_{j<k} 2^j (w_0 xor w_{2^j}), which
+    takes bit 0 to n - 1, bit 2^j to 2^j, and every other bit to 0.  The
+    list is built by doubling over those bit images."""
     if not 0 <= k <= 4:
         raise ValueError("materialized colourings capped at k = 4")
     n = 1 << k
-    cmap, palette = _psi_colour_map(n)
-    cert = ColouringCertificate(kind=psi(n), colour=tuple(cmap), palette_size=palette)
+    colour = [0]
+    for i in range(n):
+        image = n - 1 if i == 0 else i if i & (i - 1) == 0 else 0
+        colour += [c ^ image for c in colour]
+    cert = ColouringCertificate(kind=psi(n), colour=tuple(colour), palette_size=n)
     if not verify_colouring(cert):
         raise AssertionError("recursive colouring failed the doubling check")
     return cert

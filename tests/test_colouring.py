@@ -12,6 +12,7 @@ from ortho_lab.graphs import (
     VertexWord,
     adjacent_bits,
     double_word,
+    full_mask,
     omega,
     psi,
     psi_edges,
@@ -76,6 +77,33 @@ def test_psi_colouring_small_orders():
         assert cert.palette_size == 1 << k
         assert cert.kind == psi(1 << k)
         assert colouring.verify_colouring(cert)
+
+
+def psi_colour_map(n):
+    """The recursion the closed-form Psi colouring replaced, kept as its
+    oracle: one level gives the two sides of each copy pair, which differ
+    in the lsb of r, disjoint half-palettes."""
+    if n == 1:
+        return [0, 0], 1
+    m = n // 2
+    inner, palette = psi_colour_map(m)
+    mask = full_mask(m)
+    out = []
+    for w in range(1 << n):
+        x = w & mask
+        r = x ^ (w >> m)
+        out.append(inner[x] + (palette if r & 1 else 0))
+    return out, 2 * palette
+
+
+def test_psi_colouring_is_the_recursion_and_linear():
+    for k in range(5):
+        n = 1 << k
+        cert = colouring.psi_colouring(k)
+        assert (list(cert.colour), cert.palette_size) == psi_colour_map(n)
+        if n <= 8:
+            c = cert.colour
+            assert all(c[a ^ b] == c[a] ^ c[b] for a in range(1 << n) for b in range(1 << n))
 
 
 def test_doubling_check_matches_the_edge_stream():

@@ -5,6 +5,9 @@ not grow back: ``adjacent_bits`` is called only from the functions in
 ALLOWED.  The neighbourhood Gram matrix is built once, by the spectrum
 that checks it, and the search reads its rank ledger from that spectrum,
 so ``_sign_gram`` is called only from ``neighbourhood_gram_spectrum``.
+The tau-eigenspace check promises independence from the transform, so
+nothing it calls, directly or through the package, is ``wht``,
+``indicator`` or ``adjacency_spectrum``.
 A colouring is one colour list from emitter to verifier, so
 no function that takes or returns a colouring certificate builds a
 ``VertexWord``, directly or through the certificate's ``classes``."""
@@ -21,7 +24,7 @@ ALLOWED = {
 }
 
 # colour-list helpers whose signatures do not name the certificate
-COLOURING_HELPERS = {"word_classes", "_psi_colour_map", "_psi_proper"}
+COLOURING_HELPERS = {"word_classes", "_psi_proper"}
 
 
 def _top_level():
@@ -50,6 +53,23 @@ def test_adjacent_bits_is_called_only_from_the_allowlist():
 
 def test_only_the_spectrum_builds_a_sign_gram_matrix():
     assert _callers("_sign_gram") == {"neighbourhood_gram_spectrum"}
+
+
+def test_tau_eigenspace_check_never_reaches_the_transform():
+    calls: dict[str, set[str]] = {}
+    for _, top in _top_level():
+        if isinstance(top, ast.FunctionDef):
+            calls[top.name] = {
+                _name(node.func) for node in ast.walk(top) if isinstance(node, ast.Call)
+            }
+    reached, todo = set(), ["verify_tau_eigenspace"]
+    while todo:
+        for callee in calls.get(todo.pop(), ()):
+            if callee not in reached:
+                reached.add(callee)
+                todo.append(callee)
+    assert {"connection_set", "popcounts"} <= reached
+    assert not reached & {"wht", "indicator", "adjacency_spectrum"}
 
 
 def test_colouring_path_builds_no_vertex_words():

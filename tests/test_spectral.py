@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ortho_lab import families, ratmat, search, spectral
-from ortho_lab.graphs import Family, omega, psi, y_quotient, y_vertices
+from ortho_lab.graphs import Family, connection_set, omega, psi, y_quotient, y_vertices
 
 
 # --- closed-form eigenvalue and bound -----------------------------------------
@@ -28,6 +28,16 @@ def test_ratio_bound_closed_form():
         assert rep.bound == Fraction(1 << n, n)
         assert rep.matches_power_form
         assert rep.is_integer == (n & (n - 1) == 0)
+
+
+def test_tau_is_the_least_eigenvalue():
+    # the ratio bound holds only with the least eigenvalue, not just any one
+    for n in (4, 8, 12, 16):
+        assert int(spectral.adjacency_spectrum(omega(n)).min()) == spectral.least_eigenvalue(n)
+    for n in (8, 12, 16):
+        kind = y_quotient(n)
+        least = int(spectral.adjacency_spectrum(kind).min())
+        assert least == spectral.ratio_bound(kind).least_eigenvalue
 
 
 def test_ratio_bound_quotient_is_a_quarter():
@@ -87,7 +97,8 @@ def apply_streaming(kind, vec):
     vertex_order(kind): the oracle for the Walsh spectrum."""
     n = kind.n
     if kind.family is Family.OMEGA:
-        return spectral._apply_streaming(n, vec)
+        diffs = connection_set(omega(n))
+        return [sum(vec[a ^ d] for d in diffs) for a in range(1 << n)]
     diffs = [
         w
         for w in range(1 << n)
@@ -182,6 +193,17 @@ def test_tau_eigenspace_column_exact():
         assert rep.columns_checked == cols
         assert rep.max_defect == 0
         assert rep.failing_column is None
+
+
+def test_tau_eigenspace_reports_a_short_connection_set(monkeypatch):
+    # without one difference every character sum is off tau by exactly 1
+    true_set = spectral.connection_set
+    monkeypatch.setattr(spectral, "connection_set", lambda kind: true_set(kind)[1:])
+    for n in (4, 8):
+        rep = spectral.verify_tau_eigenspace(n)
+        assert not rep.ok
+        assert rep.max_defect == 1
+        assert rep.failing_column == 0
 
 
 def test_equality_condition_for_tight_and_loose_sets():
