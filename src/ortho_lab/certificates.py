@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import islice
+from operator import lt
 from typing import TYPE_CHECKING, Optional
 
 from . import colouring as colouring_mod
@@ -46,8 +48,14 @@ def frac(x: Fraction) -> str:
     return str(Fraction(x))
 
 
+def bits_format(n: int) -> str:
+    """The one format of a vertex's bits: lowercase hex, zero-padded to
+    one digit per four bits of dimension n."""
+    return f"%0{(n + 3) // 4}x"
+
+
 def word(bits: int, n: int) -> dict:
-    return {"bits": format(bits, f"0{(n + 3) // 4}x"), "n": n}
+    return {"bits": bits_format(n) % bits, "n": n}
 
 
 def vertex(v: VertexWord) -> dict:
@@ -66,7 +74,10 @@ def graph_kind(kind: GraphKind) -> dict:
     return {"family": kind.family.value, "n": kind.n}
 
 
-def decode_kind(obj: dict) -> GraphKind:
+def decode_kind(obj) -> GraphKind:
+    """The graph kind that `graph_kind` writes as exactly obj."""
+    if type(obj) is not dict or set(obj) != {"family", "n"}:
+        raise ValueError("a graph kind must be an object with exactly the keys family and n")
     return GraphKind(Family(obj["family"]), strict_int(obj["n"], "kind n"))
 
 
@@ -292,23 +303,52 @@ def status_payload(report: colouring_mod.ChiStatusReport) -> dict:
 # -- the decoder used by the verifier ------------------------------------------
 
 def decode_colouring(payload: dict) -> colouring_mod.ColouringCertificate:
-    """Class i gives colour i to its words.  A word out of range, of
-    another dimension or listed twice leaves some word at -1 and an empty
+    """Decode a colouring payload written exactly as `colouring_payload`
+    writes it, or raise ValueError.  The one pass that gives colour i to
+    the words of class i also checks each class's form: a list of vertex
+    objects with exactly the keys bits and n, n the kind's dimension as a
+    JSON integer, bits as `word` formats them, words strictly ascending.
+    A word out of range or missing leaves some word at -1 and an empty
     class leaves a colour unused, which `verify_colouring` refuses."""
+    if set(payload) != {"kind", "palette_size", "classes"}:
+        raise ValueError(f"colouring keys must be classes, kind, palette_size: {sorted(payload)}")
     kind = decode_kind(payload["kind"])
+    palette_size = strict_int(payload["palette_size"], "palette_size")
     classes = payload["classes"]
+    if type(classes) is not list or len(classes) != palette_size:
+        raise ValueError("classes must be a list of palette_size colour classes")
+    if any(type(cls) is not list for cls in classes):
+        raise ValueError("a colour class must be a list")
+    size = 1 << kind.n
     colour = []
     # the closed-form count first, so a forged large n allocates nothing
-    if sum(map(len, classes)) == 1 << kind.n:
-        colour = [-1] * (1 << kind.n)
+    if sum(map(len, classes)) == size:
+        colour = [-1] * size
+        fmt = bits_format(kind.n)
         for ci, cls in enumerate(classes):
-            for v in cls:
-                bits = int(v["bits"], 16)
-                if strict_int(v["n"], "vertex n") == kind.n and 0 <= bits < len(colour):
-                    colour[bits] = ci
+            for w in _class_words(cls, kind.n, fmt):
+                if 0 <= w < size:
+                    colour[w] = ci
     return colouring_mod.ColouringCertificate(
-        kind=kind,
-        colour=tuple(colour),
-        palette_size=strict_int(payload["palette_size"], "palette_size"),
+        kind=kind, colour=tuple(colour), palette_size=palette_size
     )
 
+
+def _class_words(cls: list, n: int, fmt: str) -> list[int]:
+    """The words of one colour class in canonical form.  Checking a list
+    at a time, not a vertex object at a time, is what makes this cheaper
+    than re-encoding the class."""
+    try:
+        texts = [v["bits"] for v in cls]
+        dims = [v["n"] for v in cls]
+        words = [int(t, 16) for t in texts]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed vertex in a colour class: {exc!r}") from None
+    # type(...) is int, since 4.0 == 4 and True == 1
+    if set(map(len, cls)) - {2} or set(map(type, dims)) - {int} or dims.count(n) != len(dims):
+        raise ValueError(f"each vertex must be exactly {{bits, n}} with n = {n}")
+    if [fmt % w for w in words] != texts:
+        raise ValueError(f"bits must be written as {fmt!r} writes them")
+    if not all(map(lt, words, islice(words, 1, None))):
+        raise ValueError("the words of a colour class must be strictly ascending")
+    return words

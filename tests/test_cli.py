@@ -1,8 +1,13 @@
 """Command-line behaviour: canonical output, verification, exit codes."""
 
+import contextlib
+import copy
+import functools
 import hashlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -12,7 +17,15 @@ import pytest
 
 import ortho_lab
 from ortho_lab import certificates, cli, colouring, search, spectral
-from ortho_lab.graphs import VertexWord, adjacent_bits, is_y_canonical, omega, y_quotient
+from ortho_lab.graphs import (
+    Family,
+    GraphKind,
+    VertexWord,
+    adjacent_bits,
+    is_y_canonical,
+    omega,
+    y_quotient,
+)
 
 
 def run_cli(argv, capsys):
@@ -300,6 +313,194 @@ def test_verify_rejects_empty_colour_class(tmp_path, capsys):
     # an unused colour would inflate the palette size
     text = _colouring_envelope("omega", 1, [[0, 1], []], 2)
     assert_one_fail(*verify_text(tmp_path, capsys, text))
+
+
+@functools.cache
+def _emitted(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.run(list(argv)) == 0
+    return out.getvalue()
+
+
+def _set_bits(cls, i, text):
+    def change(payload):
+        payload["classes"][cls][i]["bits"] = text
+    return change
+
+
+def _set_vertex_n(value):
+    def change(payload):
+        payload["classes"][0][0]["n"] = value
+    return change
+
+
+def _add_key(*path):
+    def change(payload):
+        node = payload
+        for key in path:
+            node = node[key]
+        node["note"] = ""
+    return change
+
+
+def _repeat_first_word(payload):
+    first = payload["classes"][0]
+    first[1] = dict(first[0])
+
+
+# Forms `colouring_payload` never writes, each a change to the payload of
+# `colour --n <n>`.  The first three pass a decoder that only fills the
+# colour list and compares n with ==, and every bits form here passes
+# int(bits, 16).  At n = 4, class 0 holds the words 0, 7, 8, f and class 1
+# holds 2, 5, a, d.
+COLOURING_TRAPS = {
+    "trailing-empty-class": (4, lambda payload: payload["classes"].append([])),
+    "vertex-n-float": (4, _set_vertex_n(4.0)),
+    "vertex-n-true": (1, _set_vertex_n(True)),  # True == 1
+    "uppercase-hex": (4, _set_bits(1, 2, "A")),
+    "over-wide-hex": (4, _set_bits(0, 3, "0f")),
+    "0x-prefix": (4, _set_bits(0, 3, "0xf")),
+    "plus-sign": (4, _set_bits(0, 3, "+f")),
+    "underscore": (4, _set_bits(0, 3, "0_f")),
+    "vertex-extra-key": (4, _add_key("classes", 0, 0)),
+    "kind-extra-key": (4, _add_key("kind")),
+    "payload-extra-key": (4, _add_key()),
+    "repeated-word": (4, _repeat_first_word),
+}
+
+
+def _trapped(trap):
+    n, change = COLOURING_TRAPS[trap]
+    env = json.loads(_emitted("colour", "--n", str(n)))
+    change(env["payload"])
+    return env
+
+
+@pytest.mark.parametrize("trap", list(COLOURING_TRAPS))
+def test_verify_rejects_non_canonical_colouring(tmp_path, capsys, trap):
+    text = certificates.dumps(_trapped(trap))
+    assert_one_fail(*verify_text(tmp_path, capsys, text))
+
+
+def _lenient_decode(payload):
+    """Fills the colour list and checks no form beyond strict integers;
+    the oracle below adds the canonical form by re-encoding."""
+    kind_obj = payload["kind"]
+    kind = GraphKind(Family(kind_obj["family"]), certificates.strict_int(kind_obj["n"], "kind n"))
+    classes = payload["classes"]
+    colour = []
+    if sum(map(len, classes)) == 1 << kind.n:
+        colour = [-1] * (1 << kind.n)
+        for ci, cls in enumerate(classes):
+            for v in cls:
+                bits = int(v["bits"], 16)
+                n = certificates.strict_int(v["n"], "vertex n")
+                if n == kind.n and 0 <= bits < len(colour):
+                    colour[bits] = ci
+    palette_size = certificates.strict_int(payload["palette_size"], "palette_size")
+    return colouring.ColouringCertificate(kind, tuple(colour), palette_size)
+
+
+def oracle_accepts(payload):
+    """The slow exact rule: decode leniently, recheck, then re-encode the
+    colouring and require the payload to be exactly that encoding."""
+    try:
+        cert = _lenient_decode(payload)
+    except (ValueError, KeyError, TypeError):
+        return False
+    return colouring.verify_colouring(cert) and certificates.colouring_payload(cert) == payload
+
+
+def decoder_accepts(payload):
+    try:
+        cert = certificates.decode_colouring(payload)
+    except ValueError:  # the decoder refuses with nothing else
+        return False
+    return colouring.verify_colouring(cert)
+
+
+COLOURING_EMITS = [
+    ("colour", "--n", "4"),
+    ("colour", "--n", "6"),
+    ("colour", "--n", "8"),
+    ("colour", "--n", "4", "--graph", "psi"),
+    ("colour", "--n", "8", "--graph", "psi"),
+]
+
+
+def _variants(value):
+    """Values a lax decoder could read as value, or a step away from it."""
+    if isinstance(value, str):
+        return [value.upper(), "0" + value, "0x" + value, "+" + value, "0_" + value, value[::-1]]
+    if type(value) is int:
+        return [value - 1, value + 1, float(value), bool(value), str(value)]
+    return [None, [], {}, ""]
+
+
+def _mutate_once(rng, payload):
+    """One change at one object or list of the payload, chosen at random."""
+    dicts, lists, todo = [], [], [payload]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, dict):
+            dicts.append(node)
+            todo.extend(node.values())
+        elif isinstance(node, list):
+            lists.append(node)
+            todo.extend(node)
+    if rng.random() < 0.5:
+        node = rng.choice(dicts)
+        key = rng.choice(sorted(node))
+        op = rng.choice(["add", "drop", "change"])
+        if op == "add":
+            node[rng.choice(["note", "Bits", "N"])] = 0
+        elif op == "drop":
+            del node[key]
+        else:
+            node[key] = rng.choice(_variants(node[key]))
+    else:
+        node = rng.choice([x for x in lists if len(x) >= 2])
+        i = rng.randrange(len(node) - 1)
+        op = rng.choice(["append", "pop", "duplicate", "swap"])
+        if op == "append":
+            node.append([])
+        elif op == "pop":
+            node.pop(i)
+        elif op == "duplicate":
+            node.insert(i, copy.deepcopy(node[i]))
+        else:
+            node[i], node[i + 1] = node[i + 1], node[i]
+
+
+def test_decoder_agrees_with_the_re_encoding_oracle():
+    payloads = [json.loads(_emitted(*argv))["payload"] for argv in COLOURING_EMITS]
+    for payload in payloads:
+        assert oracle_accepts(payload) and decoder_accepts(payload)
+    for trap in COLOURING_TRAPS:
+        payload = _trapped(trap)["payload"]
+        assert not oracle_accepts(payload) and not decoder_accepts(payload), trap
+    rng = random.Random(22)
+    verdicts = []
+    for i in range(400):
+        payload = copy.deepcopy(rng.choice(payloads))
+        _mutate_once(rng, payload)
+        verdicts.append(oracle_accepts(payload))
+        assert decoder_accepts(payload) == verdicts[-1], (i, payload)
+    # swapping whole classes renames the colours, which both accept
+    assert 0 < sum(verdicts) < len(verdicts) // 2
+
+
+def test_verify_never_re_encodes_a_colouring(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "psi8.json"
+    run_cli(["colour", "--n", "8", "--graph", "psi", "--out", str(path)], capsys)
+
+    def refuse(cert):
+        raise AssertionError("verify re-encoded the colouring")
+
+    monkeypatch.setattr(certificates, "colouring_payload", refuse)
+    code, out, err = run_cli(["verify", str(path)], capsys)
+    assert code == 0 and out.startswith("OK:"), err
 
 
 def test_verify_rejects_segment_family_without_its_checks(tmp_path, capsys):

@@ -24,7 +24,7 @@ ALLOWED = {
 }
 
 # colour-list helpers whose signatures do not name the certificate
-COLOURING_HELPERS = {"word_classes", "_psi_proper"}
+COLOURING_HELPERS = {"word_classes", "_psi_proper", "_class_words"}
 
 
 def _top_level():

@@ -95,6 +95,10 @@ def _is_scalar(x):
     return not isinstance(x, (dict, list))
 
 
+def _is_container(x):
+    return isinstance(x, (dict, list))
+
+
 def _payload_sites(env, pred):
     return [("payload",) + p for p, x in _walk(env["payload"]) if pred(x)]
 
@@ -146,6 +150,16 @@ def change_a_type(data, env):
     return certificates.dumps(env)
 
 
+def add_key_or_empty_list(data, env):
+    node = _get(env, data.draw(st.sampled_from(_payload_sites(env, _is_container))))
+    if isinstance(node, list):
+        node.append([])
+    else:
+        key = data.draw(st.sampled_from([k for k in ("note", "Bits", "N", "n") if k not in node]))
+        node[key] = data.draw(st.sampled_from([0, "", None, [], {}]))
+    return certificates.dumps(env)
+
+
 ENVELOPE_N = st.one_of(
     st.integers(max_value=0).map(str),
     st.integers(min_value=0, max_value=2**70).map(lambda k: str(2 * k + 1)),
@@ -188,6 +202,7 @@ SITES = {
     drop_or_duplicate_vertex: _is_vertex_list,
     change_a_count: _is_count,
     change_a_type: _is_scalar,
+    add_key_or_empty_list: _is_container,
     set_envelope_n: None,
     add_or_edit_envelope_key: None,
     truncate: None,
