@@ -242,16 +242,16 @@ def _echelon_candidates(n: int, base: int) -> list[list[int]]:
 
 def _subset_candidates(n: int, base: int) -> list[list[int]]:
     """Dimension 4 degenerates: the quotient is a complete graph and the
-    collapsed matrix loses rank, so candidates are the raw vertex subsets
-    instead (there are again exactly 2^n of them); those avoiding the
-    base's neighbourhood count as 0/1-valued."""
+    collapsed matrix loses rank, so candidates are the raw subsets of the
+    n quotient vertices instead (there are again exactly 2^n of them);
+    those avoiding the base's neighbourhood count as 0/1-valued."""
     _require_canonical(base, n)
     forbidden = set(neighbours(y_quotient(n), base))
-    allowed = [v for v in y_vertices(n) if v not in forbidden]
-    return [
-        [v for i, v in enumerate(allowed) if mask >> i & 1]
-        for mask in range(1 << len(allowed))
-    ]
+    vertices = y_vertices(n)
+    subsets = (
+        [v for i, v in enumerate(vertices) if mask >> i & 1] for mask in range(1 << len(vertices))
+    )
+    return [s for s in subsets if forbidden.isdisjoint(s)]
 
 
 def enumerate_candidates(

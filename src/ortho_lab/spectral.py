@@ -18,8 +18,9 @@ the connection set) * chi_p on a Cayley graph, so each 2-subset and
 Sign matrices over pairs are built as one 0/1 numpy table
 (``_sign_row_mask``: a row per word, a column per 2-subset, 1 where the
 +-1 entry is -1).  Products with the incidence matrix are integer row
-sums of that table, and Gram matrices are exact popcounts of its columns
-packed into Python ints.
+sums of that table.  The neighbourhood Gram matrix needs no table: its
+columns are characters restricted to Omega's connection set, so each
+entry is an adjacency eigenvalue.
 """
 
 from __future__ import annotations
@@ -277,21 +278,6 @@ def _sign_incidence_product(table: np.ndarray, n: int) -> np.ndarray:
     return (n - 1) - 2 * np.stack(counts, axis=1)
 
 
-def _column_sign_masks(table: np.ndarray) -> list[int]:
-    """One mask per column of a sign table: bit idx set iff row idx is -1
-    in that column."""
-    import numpy as np
-
-    packed = np.packbits(table, axis=0, bitorder="little")
-    return [int.from_bytes(col.tobytes(), "little") for col in packed.T]
-
-
-def _sign_gram(colsign: list[int], rows: int) -> list[list[int]]:
-    """Gram matrix of the +-1 columns given by their sign masks over
-    `rows` rows: a +-1 dot product is rows - 2*popcount(ci ^ cj)."""
-    return [[rows - 2 * (ci ^ cj).bit_count() for cj in colsign] for ci in colsign]
-
-
 def _incidence_identities(n: int) -> tuple[np.ndarray, list, bool]:
     """B = pair_incidence(n) in int64, the entries [u, v] where B B^T
     differs from (n-2) I + J, and whether every column of B sums to 2."""
@@ -391,19 +377,25 @@ def neighbourhood_gram_spectrum(n: int) -> GramSpectrumReport:
     aI + bM + cJ with M = B^T B for B = pair_incidence(n).  Given
     B B^T = (n-2) I + J and column sums 2, G acts as a + b(2n-2) + cN on
     span(1), as a on ker B and as a + b(n-2) on B^T(1-perp), of dimensions
-    1, N - r and r - 1 for r = rank(B), computed exactly."""
+    1, N - r and r - 1 for r = rank(B), computed exactly.
+
+    G itself is read off the adjacency spectrum lambda of Omega, a Cayley
+    graph on Z_2^n with connection set S: column p of the sign matrix is
+    the character chi_p on S, and chi_p chi_q = chi_(p xor q), so
+    G[p, q] = sum over d in S of chi_(p xor q)(d) = lambda(p xor q).
+    The word p xor q has weight 0, 2 or 4 as the pairs are equal, meet or
+    are disjoint, and lambda there is c0, c1 or c2."""
     import numpy as np
 
     if n not in (8, 12, 16):
         raise ValueError("spectrum checked for n in {8, 12, 16}")
     npairs = comb(n, 2)
-    neigh = connection_set(omega(n))
-    colsign = _column_sign_masks(_sign_row_mask(neigh, n))
     c0 = comb(n, n // 2)
     c1 = c0 - 8 * comb(n - 3, n // 2 - 1)
     c2 = c0 - 16 * comb(n - 4, n // 2 - 1)
     a, b, c = c0 - 2 * c1 + c2, c1 - c2, c2
-    gram = np.array(_sign_gram(colsign, len(neigh)), dtype=np.int64)
+    pairs = np.array(two_subset_masks(n))
+    gram = adjacency_spectrum(omega(n))[pairs[:, None] ^ pairs]
     inc, bad_inc, columns_ok = _incidence_identities(n)
     want = a * np.eye(npairs, dtype=np.int64) + b * (inc.T @ inc) + c
     bad = [

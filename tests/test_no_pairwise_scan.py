@@ -2,9 +2,11 @@
 
 Set facts come from the Walsh transform, so pairwise adjacency scans do
 not grow back: ``adjacent_bits`` is called only from the functions in
-ALLOWED.  The neighbourhood Gram matrix is built once, by the spectrum
-that checks it, and the search reads its rank ledger from that spectrum,
-so ``_sign_gram`` is called only from ``neighbourhood_gram_spectrum``.
+ALLOWED.  The neighbourhood Gram matrix is read off the adjacency
+spectrum by the spectrum that checks it, and the search reads its rank
+ledger from that spectrum, so ``neighbourhood_gram_spectrum`` calls
+``adjacency_spectrum`` and the sign table ``_sign_row_mask`` is built
+only for the product rows and ``gram_identities``.
 The tau-eigenspace check promises independence from the transform, so
 nothing it calls, directly or through the package, is ``wht``,
 ``indicator`` or ``adjacency_spectrum``.
@@ -51,8 +53,9 @@ def test_adjacent_bits_is_called_only_from_the_allowlist():
     assert _callers("adjacent_bits") <= ALLOWED
 
 
-def test_only_the_spectrum_builds_a_sign_gram_matrix():
-    assert _callers("_sign_gram") == {"neighbourhood_gram_spectrum"}
+def test_the_gram_matrix_is_read_off_the_transform():
+    assert _callers("_sign_row_mask") == {"_product_rows", "gram_identities"}
+    assert "neighbourhood_gram_spectrum" in _callers("adjacency_spectrum")
 
 
 def test_tau_eigenspace_check_never_reaches_the_transform():

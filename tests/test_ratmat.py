@@ -13,6 +13,8 @@ import pytest
 from ortho_lab import ratmat, search, spectral
 from ortho_lab.graphs import connection_set, neighbours, omega, y_quotient, y_vertices
 
+from test_sign_table import column_sign_masks, sign_gram
+
 
 # --- the Fraction reference ---------------------------------------------------
 
@@ -157,12 +159,11 @@ def test_rcef_of_empty_and_zero_matrices():
 def test_rank_matches_reference_on_gram_matrices(n):
     # the extended neighbourhood Gram matrix A_ext^T A_ext, and the
     # spectrum's Gram matrix G shifted to q*G - p*I for each eigenvalue p/q
+    pairs = spectral.two_subset_masks(n)
     neigh = neighbours(y_quotient(n), 0)
     words = connection_set(omega(n))
-    colsign = spectral._column_sign_masks(spectral._sign_row_mask(neigh, n))
-    grams = [spectral._sign_gram(colsign + [0], len(neigh))]
-    colsign = spectral._column_sign_masks(spectral._sign_row_mask(words, n))
-    gram = spectral._sign_gram(colsign, len(words))
+    grams = [sign_gram(column_sign_masks(neigh, pairs) + [0], len(neigh))]
+    gram = sign_gram(column_sign_masks(words, pairs), len(words))
     spectrum = spectral.neighbourhood_gram_spectrum(n)
     for lam in spectrum.eigenvalues:
         p, q = lam.numerator, lam.denominator

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from ortho_lab import ratmat, search, spectral
 from ortho_lab.graphs import (
     VertexWord,
+    adjacent_bits,
     connection_set,
     omega,
     y_canonical_bits,
@@ -254,6 +256,19 @@ def test_enumerate_n4_brute_force_route():
     assert len(out.certificates) == 1
     assert [v.bits for v in out.certificates[0].vertices] == [0]
     assert out.certificates[0].meets_ratio_bound
+
+
+def test_n4_candidates_are_every_subset_avoiding_the_neighbourhood():
+    # all 2^4 subsets of the four quotient vertices, filtered pairwise
+    vertices = y_vertices(4)
+    for base in vertices:
+        want = [
+            list(s)
+            for k in range(len(vertices) + 1)
+            for s in combinations(vertices, k)
+            if not any(adjacent_bits(v, base, 4) for v in s)
+        ]
+        assert sorted(search._subset_candidates(4, base)) == sorted(want) == [[], [base]]
 
 
 def test_enumerate_n8_matches_backtracking_oracle():

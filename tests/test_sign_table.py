@@ -1,5 +1,6 @@
-"""The numpy sign table and everything built from it, against the
-per-word popcount builders it replaced, kept here as the slow exact
+"""The numpy sign table and everything built from it, and the
+neighbourhood Gram matrix read off the Walsh spectrum, against the
+per-word popcount builders they replaced, kept here as the slow exact
 oracle."""
 
 import random
@@ -8,7 +9,14 @@ import numpy as np
 import pytest
 
 from ortho_lab import search, spectral
-from ortho_lab.graphs import connection_set, neighbours, omega, y_quotient, y_vertices
+from ortho_lab.graphs import (
+    connection_set,
+    neighbours,
+    omega,
+    popcounts,
+    y_quotient,
+    y_vertices,
+)
 
 
 # --- the per-word oracle ------------------------------------------------------
@@ -33,6 +41,33 @@ def column_sign_masks(words, pairs):
             colsign[low.bit_length() - 1] |= 1 << idx
             sm ^= low
     return colsign
+
+
+def sign_gram(colsign, rows):
+    """Gram matrix of the +-1 columns given by their sign masks over
+    `rows` rows: a +-1 dot product is rows - 2*popcount(ci ^ cj)."""
+    return [[rows - 2 * (ci ^ cj).bit_count() for cj in colsign] for ci in colsign]
+
+
+def record_gram(monkeypatch, edit=lambda gram: None):
+    """Substitute a spectrum for spectral.adjacency_spectrum whose
+    gathers record the spectrum's Gram matrix G, after `edit` has changed
+    it in place, and return the list of recorded matrices."""
+    seen = []
+    true_spectrum = spectral.adjacency_spectrum
+
+    class Gathered:
+        def __init__(self, kind):
+            self.spectrum = true_spectrum(kind)
+
+        def __getitem__(self, index):
+            gram = self.spectrum[index]
+            edit(gram)
+            seen.append(gram)
+            return gram
+
+    monkeypatch.setattr(spectral, "adjacency_spectrum", Gathered)
+    return seen
 
 
 def vertex_column_masks(n, pairs):
@@ -92,32 +127,26 @@ def test_pair_incidence_matches_the_pair_masks():
 @pytest.mark.parametrize("n, base", [(8, 0), (8, 0x3C), (12, 0x3C), (16, 0), (16, 0x44CA)])
 def test_extended_neighbourhood_gram_matches_the_oracle(n, base):
     # the extended neighbourhood Gram matrix: the base's neighbourhood
-    # rows plus an all-ones column
+    # rows plus an all-ones column, which is the character of 0.  The
+    # neighbourhood is base ^ S for the quotient's connection set S, whose
+    # sign rows are Omega's once each, so entry [p, q] is
+    # chi_(p^q)(base) * lambda(p ^ q) / 2 for Omega's spectrum lambda
     pairs = spectral.two_subset_masks(n)
     neigh = neighbours(y_quotient(n), base)
-    want = column_sign_masks(neigh, pairs)
-    got = spectral._column_sign_masks(spectral._sign_row_mask(neigh, n))
-    assert got == want
-    assert spectral._sign_gram(got + [0], len(neigh)) == spectral._sign_gram(
-        want + [0], len(neigh)
-    )
+    want = sign_gram(column_sign_masks(neigh, pairs) + [0], len(neigh))
+    chars = np.array(pairs + [0])
+    xor = chars[:, None] ^ chars
+    signs = 1 - 2 * (popcounts(n)[xor & base] & 1)
+    assert (signs * spectral.adjacency_spectrum(omega(n))[xor] // 2).tolist() == want
 
 
 @pytest.mark.parametrize("n", (8, 12, 16))
 def test_spectrum_gram_matches_the_oracle(n, monkeypatch):
     words = connection_set(omega(n))
-    want = column_sign_masks(words, spectral.two_subset_masks(n))
-    want = spectral._sign_gram(want, len(words))
-    seen = []
-    true_gram = spectral._sign_gram
-
-    def gram(colsign, rows):
-        seen.append(true_gram(colsign, rows))
-        return seen[-1]
-
-    monkeypatch.setattr(spectral, "_sign_gram", gram)
+    want = sign_gram(column_sign_masks(words, spectral.two_subset_masks(n)), len(words))
+    seen = record_gram(monkeypatch)
     assert spectral.neighbourhood_gram_spectrum(n).ok
-    assert seen == [want]
+    assert [g.tolist() for g in seen] == [want]
 
 
 # --- the identities -----------------------------------------------------------

@@ -10,6 +10,8 @@ import pytest
 from ortho_lab import families, ratmat, search, spectral
 from ortho_lab.graphs import Family, connection_set, omega, psi, y_quotient, y_vertices
 
+from test_sign_table import record_gram
+
 
 # --- closed-form eigenvalue and bound -----------------------------------------
 
@@ -245,14 +247,10 @@ def test_neighbourhood_gram_spectrum_n8():
 
 def test_neighbourhood_gram_spectrum_names_a_forged_entry(monkeypatch):
     # pairs 3 = {0, 4} and 17 = {2, 7} are disjoint, so the entry is c2 = 6
-    true_gram = spectral._sign_gram
+    def forge(gram):
+        gram[3, 17] = gram[17, 3] = 8
 
-    def forged(colsign, rows):
-        gram = true_gram(colsign, rows)
-        gram[3][17] = gram[17][3] = 8
-        return gram
-
-    monkeypatch.setattr(spectral, "_sign_gram", forged)
+    record_gram(monkeypatch, forge)
     rep = spectral.neighbourhood_gram_spectrum(8)
     assert not rep.identity_ok and not rep.ok
     assert rep.witness == ("entry", 3, 17, 8, 6)
@@ -261,17 +259,33 @@ def test_neighbourhood_gram_spectrum_names_a_forged_entry(monkeypatch):
 
 def test_neighbourhood_gram_spectrum_checks_every_entry(monkeypatch):
     # one entry below the diagonal forged: an upper-triangle check misses it
-    true_gram = spectral._sign_gram
+    def forge(gram):
+        gram[17, 3] = 8
 
-    def forged(colsign, rows):
-        gram = true_gram(colsign, rows)
-        gram[17][3] = 8
-        return gram
-
-    monkeypatch.setattr(spectral, "_sign_gram", forged)
+    record_gram(monkeypatch, forge)
     rep = spectral.neighbourhood_gram_spectrum(8)
     assert rep.witness == ("entry", 17, 3, 8, 6)
     assert not rep.identity_ok and not rep.multiplicities_ok and not rep.ok
+
+
+def test_neighbourhood_gram_spectrum_reads_the_transform(monkeypatch):
+    # G[p, q] is the eigenvalue at p ^ q: forging the eigenvalue of the
+    # weight-4 word {0, 1, 2, 3} forges G at every two disjoint pairs with
+    # that union, the first at pairs 0 = {0, 1} and 13 = {2, 3}
+    true_spectrum = spectral.adjacency_spectrum
+
+    def forged(kind):
+        lam = true_spectrum(kind)
+        lam[0b1111] += 2
+        return lam
+
+    assert true_spectrum(omega(8))[0b1111] == 6
+    monkeypatch.setattr(spectral, "adjacency_spectrum", forged)
+    rep = spectral.neighbourhood_gram_spectrum(8)
+    assert not rep.identity_ok and not rep.ok
+    assert rep.witness == ("entry", 0, 13, 8, 6)
+    with pytest.raises(ArithmeticError):
+        search.kernel_reduce(8)
 
 
 def test_neighbourhood_gram_spectrum_needs_the_incidence_rank(monkeypatch):
