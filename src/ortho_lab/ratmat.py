@@ -1,7 +1,7 @@
 """Dense exact linear algebra on integer matrices.
 
-A matrix comes in as a list of rows of Python ints and is converted to a
-numpy array once, by ``_matrix``, which rejects anything else.  One
+A matrix comes in as a list of rows of Python ints and is converted to an
+int64 numpy array once, by ``_matrix``, which rejects anything else.  One
 elimination runs on that array, and it is never trusted:
 
 - ``_minor`` eliminates modulo the prime ``PRIME`` in numpy int64 and
@@ -24,8 +24,8 @@ Three exact checks make the whole proof of that form:
 A prime that hides a pivot fails one of them, and ArithmeticError is
 raised; there is no fallback.
 
-Every product is exact: ``_dot`` runs in int64 only when no partial sum
-can reach 2^63, and on Python ints otherwise.
+Every array is int64, and every product is exact: a product that could
+reach 2^63 is refused with ArithmeticError (``_int64``), never widened.
 """
 
 from __future__ import annotations
@@ -46,10 +46,10 @@ PRIME = 2**31 - 1
 @dataclass(frozen=True)
 class EchelonResult:
     """Reduced column echelon form R of an integer matrix, held as
-    ``matrix == scale * R``, an array of the input's shape (int64, or
-    Python ints past int64) with the least positive scale that clears R's
-    denominators, plus the rank and the pivot row indices (strictly
-    increasing, one per pivot column)."""
+    ``matrix == scale * R``, an int64 array of the input's shape, with
+    the least positive scale that clears R's denominators, plus the rank
+    and the pivot row indices (strictly increasing, one per pivot
+    column)."""
 
     matrix: np.ndarray
     rank: int
@@ -58,10 +58,9 @@ class EchelonResult:
 
 
 def _matrix(a: Matrix) -> np.ndarray:
-    """``a`` as a 2-D array: an int64 array when every entry is below 2^62
-    in absolute value, else an array of Python ints (numpy object dtype).
-    Ragged rows raise ValueError, entries that are not Python ints
-    TypeError."""
+    """``a`` as a 2-D int64 array.  Ragged rows raise ValueError, entries
+    that are not Python ints TypeError, and entries past int64 numpy's
+    OverflowError, an ArithmeticError."""
     import numpy as np
 
     cols = len(a[0]) if a else 0
@@ -71,13 +70,7 @@ def _matrix(a: Matrix) -> np.ndarray:
         if any(type(x) is not int for x in row):
             # a Fraction would floor-divide silently below
             raise TypeError("entries must be Python ints")
-    try:
-        m = np.array(a, dtype=np.int64).reshape(len(a), cols)
-        if m.size == 0 or (m.min() > -(2**62) and m.max() < 2**62):
-            return m
-    except OverflowError:
-        pass
-    return np.array(a, dtype=object).reshape(len(a), cols)
+    return np.array(a, dtype=np.int64).reshape(len(a), cols)
 
 
 def mat_vec(a: np.ndarray, v: np.ndarray) -> list[int]:
@@ -90,12 +83,12 @@ def mat_vec(a: np.ndarray, v: np.ndarray) -> list[int]:
     return _dot(a, v[:, None])[:, 0].tolist()
 
 
-def _exact(bound: int) -> type:
-    """The dtype in which numpy arithmetic is exact when no intermediate
-    value exceeds ``bound`` in absolute value."""
-    import numpy as np
-
-    return np.int64 if bound < 2**63 else object
+def _int64(bound: int) -> None:
+    """Refuse, with ArithmeticError, int64 arithmetic in which a value
+    could reach ``bound`` in absolute value, once that is 2^63 or more:
+    numpy would wrap it silently."""
+    if bound >= 2**63:
+        raise ArithmeticError(f"a value could reach {bound}: too large for exact int64 arithmetic")
 
 
 def _absmax(x: np.ndarray) -> int:
@@ -104,9 +97,11 @@ def _absmax(x: np.ndarray) -> int:
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Exact x @ y, in int64 when no partial sum can reach 2^63."""
-    kind = _exact(_absmax(x) * _absmax(y) * x.shape[1])
-    return x.astype(kind, copy=False) @ y.astype(kind, copy=False)
+    """Exact x @ y in int64, refused if a partial sum could reach 2^63."""
+    import numpy as np
+
+    _int64(_absmax(x) * _absmax(y) * x.shape[1])
+    return x.astype(np.int64, copy=False) @ y.astype(np.int64, copy=False)
 
 
 def _minor(m: np.ndarray) -> tuple[list[int], list[int]]:
@@ -173,7 +168,8 @@ def _echelon_identity(c: np.ndarray, scale: int, piv: list[int], a: np.ndarray) 
 
     r = len(piv)
     eye = scale * np.eye(r, c.shape[1], dtype=c.dtype)
-    scaled = a.astype(_exact(_absmax(a) * scale), copy=False) * scale
+    _int64(_absmax(a) * scale)
+    scaled = a.astype(np.int64, copy=False) * scale
     return np.array_equal(c[piv], eye) and np.array_equal(_dot(c[:, :r], a[piv]), scaled)
 
 
@@ -203,7 +199,7 @@ def _echelon(full: np.ndarray) -> EchelonResult:
     # d * B^-1 over d, both divided by their content and made positive
     g = gcd(d, *(x for row in m for x in row)) * (1 if d > 0 else -1)
     pad = [0] * (full.shape[1] - r)
-    inverse = np.array([[x // g for x in row] + pad for row in m], dtype=object)
+    inverse = np.array([[x // g for x in row] + pad for row in m], dtype=np.int64)
     c = _dot(full[:, cols], inverse.reshape(r, full.shape[1]))
     scale = d // g
     g = int(np.gcd.reduce(c.ravel(), initial=scale))

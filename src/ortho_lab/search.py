@@ -222,12 +222,11 @@ def _echelon_candidates(n: int, base: int) -> list[list[int]]:
 
     red = kernel_reduce(n, base)
     scale = red.echelon.scale
-    # an entry beyond int64 raises OverflowError here
+    # rcef returns int64: only a substituted result can raise OverflowError here
     cint = red.echelon.matrix.astype(np.int64, copy=False)
     # every candidate is a 0/1 vector, so no partial sum of the scan's dot
-    # products exceeds n times the largest entry: below 2^63 it is exact
-    if ratmat._absmax(cint) * n >= 2**63:
-        raise ArithmeticError("echelon entries too large for an exact int64 scan")
+    # products exceeds n times the largest entry
+    ratmat._int64(ratmat._absmax(cint) * n)
     if not ratmat._echelon_identity(cint, scale, red.echelon.pivot_rows, red.product):
         raise ArithmeticError("echelon matrix fails its check against the product rows")
     order = y_vertices(n)

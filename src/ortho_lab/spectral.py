@@ -107,20 +107,17 @@ def two_subset_masks(n: int) -> list[int]:
 # -- the Walsh spectrum --------------------------------------------------------
 
 def wht(vec: Sequence[int]) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform as a numpy butterfly, exact:
-    no output exceeds len * max|entry|, so it runs in int64 below 2^63
-    and on Python ints past that.  Applying it twice multiplies by
-    len(vec)."""
+    """Unnormalized Walsh-Hadamard transform as an int64 numpy butterfly,
+    exact: no output exceeds len * max|entry|, and a vector for which that
+    could reach 2^63 is refused with ArithmeticError.  Applying it twice
+    multiplies by len(vec)."""
     import numpy as np
 
     m = len(vec)
     if m & (m - 1):
         raise ValueError("length must be a power of two")
-    try:
-        x = np.array(vec, dtype=np.int64)
-    except OverflowError:
-        x = np.array(vec, dtype=object)
-    x = x.astype(ratmat._exact(m * ratmat._absmax(x)), copy=False)
+    x = np.array(vec, dtype=np.int64)
+    ratmat._int64(m * ratmat._absmax(x))
     h = 1
     while h < m:
         a, b = x.reshape(-1, 2, h).transpose(1, 0, 2)

@@ -55,7 +55,7 @@ def assert_matches_reference(a):
     assert res.pivot_rows == pivots
     assert res.rank == len(pivots)
     assert res.scale == lcm(*(x.denominator for row in ref for x in row))
-    assert res.matrix.dtype in (np.int64, object)
+    assert res.matrix.dtype == np.int64
     assert res.matrix.shape == (len(a), len(a[0]))
     got = res.matrix.tolist()
     # the transposes lose the rows of a matrix with no columns
@@ -136,14 +136,23 @@ def test_rcef_matches_reference_on_random_rank_deficient_matrices():
         assert len(ratmat._minor(ratmat._matrix(a))[0]) == exact
 
 
-def test_rcef_matches_reference_beyond_int64():
-    # entries and products past 2^63 take the Python-int (object) path
+def test_rcef_refuses_past_int64():
+    # two columns of entries up to 2^20, or six of entries up to 2^6, keep
+    # every product below 2^63 (Hadamard's bound on the minors), so these
+    # match the reference in int64
     rng = random.Random(32)
     for _ in range(40):
-        assert_matches_reference(random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6), 2**70))
-        a = random_rank_deficient(rng, rng.randint(1, 7), rng.randint(1, 7), 2**40)
-        assert_matches_reference(a)
+        assert_matches_reference(random_matrix(rng, rng.randint(1, 6), rng.randint(1, 2), 2**20))
+        assert_matches_reference(random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6), 2**6))
+        a = random_rank_deficient(rng, rng.randint(1, 7), rng.randint(1, 7), 2**20)
         assert len(ratmat._minor(ratmat._matrix(a))[0]) == len(rref(a)[1])
+    # entries past int64, and a block whose reduced inverse d * B^-1 / g
+    # has entries 2^80 (its 2 x 2 minors), are refused, not widened
+    for a in ([[2**63]], [[1, -(2**63) - 1]], [[2**70, 1], [3, 2**64]]):
+        with pytest.raises(ArithmeticError):
+            ratmat.rcef(a)
+    with pytest.raises(ArithmeticError):
+        ratmat.rcef([[2**40, 1, 0], [0, 2**40, 1], [1, 0, 2**40]])
 
 
 def test_rcef_of_empty_and_zero_matrices():
@@ -213,10 +222,14 @@ def test_rank_of_transpose_matches():
 
 def test_mat_vec():
     assert ratmat.mat_vec([[1, 2, 3], [0, 1, 0]], [1, 1, 1]) == [6, 1]
-    # an int64 product that reaches 2^63, and Python ints past int64
-    assert ratmat.mat_vec(np.array([[2**61] * 4]), np.ones(4, dtype=np.int64)) == [2**63]
+    # a product just below 2^63 is exact; one that could reach it, and
+    # Python ints past int64, are refused
+    assert ratmat.mat_vec(np.array([[2**61] * 3]), np.ones(3, dtype=np.int64)) == [3 * 2**61]
+    with pytest.raises(ArithmeticError):
+        ratmat.mat_vec(np.array([[2**61] * 4]), np.ones(4, dtype=np.int64))
     big = np.array([[2**70, -1], [3, 2**64]], dtype=object)
-    assert ratmat.mat_vec(big, np.array([1, 2])) == [2**70 - 2, 3 + 2**65]
+    with pytest.raises(ArithmeticError):
+        ratmat.mat_vec(big, np.array([1, 2]))
     with pytest.raises(ValueError):
         ratmat.mat_vec([[1, 2]], [1])
 
@@ -336,7 +349,7 @@ def test_reversed_pivot_columns_give_the_same_form(monkeypatch):
     # the check judges the result, not the route: A[:, cols] @ B^-1 does
     # not depend on the order of the pivot columns
     rng = random.Random(33)
-    mats = [SMALL, search._product_rows(8, 0x3C).tolist(), random_matrix(rng, 4, 5, 2**70)]
+    mats = [SMALL, search._product_rows(8, 0x3C).tolist(), random_matrix(rng, 4, 5, 2**10)]
     mats += [random_rank_deficient(rng, 6, 6) for _ in range(20)]
     want = [ratmat.rcef(a) for a in mats]
     _patch_minor(monkeypatch, lambda m, rows, cols: (rows, cols[::-1]))
@@ -359,6 +372,19 @@ def test_rejects_non_int_entries(bad):
         ratmat.rcef([[1, bad], [3, 4]])
     with pytest.raises(TypeError):
         ratmat.rank([[1, 2], [bad, 4]])
+
+
+def test_int64_boundary():
+    # the helper admits every bound int64 holds and refuses the first it
+    # does not; rcef holds the largest int64 entry, and refuses the least,
+    # -2^63, whose absolute value int64 cannot hold
+    ratmat._int64(2**63 - 1)
+    with pytest.raises(ArithmeticError):
+        ratmat._int64(2**63)
+    res = ratmat.rcef([[2**63 - 1]])
+    assert (res.rank, res.scale, res.matrix.tolist()) == (1, 1, [[1]])
+    with pytest.raises(ArithmeticError):
+        ratmat.rcef([[-(2**63)]])
 
 
 def test_rejects_ragged_rows():

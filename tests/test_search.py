@@ -152,13 +152,13 @@ def test_echelon_bound_refuses_rows_an_int64_scan_cannot_hold(monkeypatch, entri
 
 @pytest.mark.parametrize(
     "row, match",
-    [([-(2**63)] + [0] * 7, "too large"), ([2**59] * 8, "fails its check")],
+    [([-(2**63)] + [0] * 7, "too large"), ([2**59] * 8, "too large for exact int64")],
     ids=("int64-minimum", "self-check-past-int64"),
 )
 def test_echelon_checks_stay_exact_at_the_int64_edge(monkeypatch, row, match):
     # np.abs leaves -2^63 negative, so a bound read off it would pass it;
     # 8 * 2^59 = 2^62 fits the scan, but the self-check's products with
-    # the product rows pass 2^63 and would wrap in int64
+    # the product rows could pass 2^63, so the self-check refuses them
     true_rcef = ratmat.rcef
 
     def perturbed(a):
