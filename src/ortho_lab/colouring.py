@@ -1,11 +1,13 @@
-"""Cliques, translate colourings, the recursive colouring, and the
-chromatic verdict for every dimension up to 64.
+"""The doubling clique, translate colourings, the recursive colouring,
+and the chromatic verdict for every dimension up to 64.
 
 A colouring is one colour in 0..palette_size-1 per word, in a tuple
 indexed by the word, from emitter to verifier.  The group is sign
-multiplication of +-1 words, i.e. XOR on bit words, so translates of an
-independent set by the members of a clique are pairwise disjoint, and
-when sizes multiply to the vertex count each word gets one colour.
+multiplication of +-1 words, i.e. XOR on bit words, so every full-graph
+colouring that is not the recursive one is built the same way: the
+translates of one independent set by a list of shift words, one colour
+each.  The parity colouring shifts the even words by 0 and 1; n = 8
+shifts a lifted tight set by the words of the doubling clique.
 """
 
 from __future__ import annotations
@@ -30,31 +32,10 @@ from .graphs import (
 )
 
 
-@dataclass(frozen=True)
-class CliqueCertificate:
-    n: int
-    vertices: tuple[VertexWord, ...]
-    size: int
-
-
-def verify_clique(cert: CliqueCertificate) -> bool:
-    if any(v.n != cert.n for v in cert.vertices):
-        return False
-    bits = [v.bits for v in cert.vertices]
-    if len(set(bits)) != cert.size or cert.size != len(bits):
-        return False
-    if cert.size > cert.n:  # pairwise orthogonal words are linearly independent
-        return False
-    return all(
-        adjacent_bits(u, v, cert.n)
-        for i, u in enumerate(bits)
-        for v in bits[i + 1 :]
-    )
-
-
-def sylvester_clique(k: int) -> CliqueCertificate:
-    """n = 2^k pairwise orthogonal words from the doubling construction
-    [[M, M], [M, -M]] starting at the single word of length 1."""
+def sylvester_clique(k: int) -> list[int]:
+    """The n = 2^k pairwise orthogonal words of the doubling construction
+    [[M, M], [M, -M]] from the single word of length 1, ascending; raises
+    unless every pair of them is adjacent."""
     if not 0 <= k <= 6:
         raise ValueError("k must be in 0..6")
     words = [0]
@@ -62,12 +43,10 @@ def sylvester_clique(k: int) -> CliqueCertificate:
     for _ in range(k):
         words = [double_word(w, r, m) for r in (0, full_mask(m)) for w in words]
         m *= 2
-    cert = CliqueCertificate(
-        n=m, vertices=tuple(VertexWord(w, m) for w in sorted(words)), size=len(words)
-    )
-    if k >= 1 and not verify_clique(cert):
+    words.sort()
+    if not all(adjacent_bits(u, v, m) for i, u in enumerate(words) for v in words[i + 1 :]):
         raise AssertionError("doubling construction produced a non-clique")
-    return cert
+    return words
 
 
 @dataclass(frozen=True)
@@ -135,15 +114,16 @@ def _psi_proper(colour: Sequence[int], n: int, base_edges: list[tuple[int, int]]
 
 
 def normal_cayley_colouring(
-    s_vertices: Sequence[int], clique: CliqueCertificate
+    s_vertices: Sequence[int], shifts: Sequence[int], n: int
 ) -> ColouringCertificate:
-    """Colour classes are the translates of the independent set by the
-    clique members, coloured in the order of their least words; sizes
-    must multiply to the vertex count."""
-    n = clique.n
-    if len(s_vertices) * clique.size != 1 << n:
-        raise ValueError("set size times clique size must equal the vertex count")
-    translates = sorted(([x ^ c.bits for x in s_vertices] for c in clique.vertices), key=min)
+    """Colour classes are the translates x ^ s of the independent set by
+    the shift words s, coloured in the order of their least words.  The
+    translates must partition the n-bit words, so sizes must multiply to
+    the vertex count and no word may be coloured twice; the result is
+    re-verified as a colouring of the full graph."""
+    if len(s_vertices) * len(shifts) != 1 << n:
+        raise ValueError("set size times shift count must equal the vertex count")
+    translates = sorted(([x ^ s for x in s_vertices] for s in shifts), key=min)
     colour = [-1] * (1 << n)
     for ci, words in enumerate(translates):
         for w in words:
@@ -153,20 +133,6 @@ def normal_cayley_colouring(
     cert = ColouringCertificate(omega(n), tuple(colour), len(translates))
     if not verify_colouring(cert):
         raise AssertionError("translate classes failed re-verification")
-    return cert
-
-
-def bipartite_colouring(n: int) -> ColouringCertificate:
-    """Weight-parity 2-colouring; proper whenever the adjacency distance
-    n/2 is odd, i.e. n = 2 mod 4."""
-    if n % 4 != 2:
-        raise ValueError("parity colouring needs n = 2 mod 4")
-    if n > 10:
-        raise ValueError("materialized verification capped at n = 10")
-    parity = tuple(w.bit_count() & 1 for w in range(1 << n))
-    cert = ColouringCertificate(kind=omega(n), colour=parity, palette_size=2)
-    if not verify_colouring(cert):
-        raise AssertionError("parity classes failed re-verification")
     return cert
 
 
@@ -202,12 +168,14 @@ def omega_colouring(n: int) -> ColouringCertificate:
             raise AssertionError("recursive classes failed full-graph check")
         return cert
     if n % 4 == 2:
-        return bipartite_colouring(n)
+        # distance n/2 is odd, so the even words are independent
+        if n > 10:
+            raise ValueError("materialized verification capped at n = 10")
+        even = [w for w in range(1 << n) if not w.bit_count() & 1]
+        return normal_cayley_colouring(even, [0, 1], n)
     if n == 8:
-        outcome = search.enumerate_candidates(8)
-        first = outcome.certificates[0]  # deterministic: lowest candidate index
-        lifted = families.lift_members([v.bits for v in first.vertices], 8)
-        return normal_cayley_colouring(lifted, sylvester_clique(3))
+        members = [v.bits for v in families.initial_segment_family(8).members]
+        return normal_cayley_colouring(families.lift_members(members, 8), sylvester_clique(3), 8)
     raise ValueError(f"no exact colouring construction for n={n}")
 
 
@@ -272,7 +240,7 @@ def chi_status(n: int) -> ChiStatusReport:
             None,
         )
     if n in (4, 8):
-        sylvester_clique(n.bit_length() - 1)  # raises unless verify_clique holds
+        sylvester_clique(n.bit_length() - 1)  # raises unless pairwise orthogonal
         return ChiStatusReport(
             n,
             Verdict.EQUALS_N,

@@ -188,9 +188,9 @@ def certify_indset(kind: GraphKind, vertices: Sequence[int], base: int = 0) -> I
     )
 
 
-def _scan_01_candidates(cint: np.ndarray, scale: int, lo: int, hi: int) -> list[int]:
-    """All x in [lo, hi) for which every entry of (scaled echelon) * x is
-    0 or the scale.  Candidates go in chunks, and each chunk meets the
+def _scan_01_candidates(cint: np.ndarray, scale: int) -> list[int]:
+    """All x below 2^columns for which every entry of (scaled echelon) * x
+    is 0 or the scale.  Candidates go in chunks, and each chunk meets the
     rows in blocks of 32, 64, ... up to 1024 rows, each block only on
     the candidates that passed every earlier one: the first rows already
     drop most candidates."""
@@ -199,8 +199,8 @@ def _scan_01_candidates(cint: np.ndarray, scale: int, lo: int, hi: int) -> list[
     nrows, nbits = cint.shape
     shifts = np.arange(nbits, dtype=np.int64)[:, None]
     out: list[int] = []
-    for c0 in range(lo, hi, 8192):
-        xs = np.arange(c0, min(c0 + 8192, hi), dtype=np.int64)
+    for c0 in range(0, 1 << nbits, 8192):
+        xs = np.arange(c0, min(c0 + 8192, 1 << nbits), dtype=np.int64)
         bits = (xs[None, :] >> shifts) & 1
         r0, block = 0, 32
         while r0 < nrows and xs.size:
@@ -231,7 +231,7 @@ def _echelon_candidates(n: int, base: int) -> list[list[int]]:
         raise ArithmeticError("echelon matrix fails its check against the product rows")
     order = y_vertices(n)
     out = []
-    for x in _scan_01_candidates(cint, scale, 0, 1 << n):
+    for x in _scan_01_candidates(cint, scale):
         z = ratmat.mat_vec(cint, x >> np.arange(n) & 1)
         if any(e not in (0, scale) for e in z):
             raise ArithmeticError(f"scan kept candidate {x}, which is not 0/1-valued")

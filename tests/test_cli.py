@@ -234,8 +234,8 @@ def test_verify_rejects_standalone_kinds(tmp_path, capsys):
     clique = colouring.sylvester_clique(3)
     clique_fields = {
         "n": 8,
-        "vertices": [certificates.vertex(v) for v in clique.vertices],
-        "size": str(clique.size),
+        "vertices": [certificates.word(w, 8) for w in clique],
+        "size": str(len(clique)),
     }
     for kind, payload in (("indset", indset), ("clique", clique_fields)):
         env = dict(certificates.envelope("search", 8, payload), kind=kind)

@@ -6,10 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from ortho_lab import colouring, families, search, spectral
+from ortho_lab import colouring, families, ratmat, search, spectral
 from ortho_lab.colouring import Verdict
 from ortho_lab.graphs import (
-    VertexWord,
     adjacent_bits,
     double_word,
     full_mask,
@@ -19,56 +18,69 @@ from ortho_lab.graphs import (
 )
 
 
-# --- cliques ------------------------------------------------------------------
+# --- the doubling clique ------------------------------------------------------
 
 def test_sylvester_cliques_through_k6():
     for k in range(7):
-        cert = colouring.sylvester_clique(k)
-        assert cert.n == 1 << k
-        assert cert.size == 1 << k
-        assert colouring.verify_clique(cert)
-
-
-def test_verify_clique_rejects_oversized_sets():
-    # n+1 pairwise orthogonal sign words cannot exist in dimension n
-    good = colouring.sylvester_clique(2)
-    padded = colouring.CliqueCertificate(
-        n=4, vertices=good.vertices + (VertexWord(1, 4),), size=5
-    )
-    assert not colouring.verify_clique(padded)
-
-
-def test_verify_clique_detects_non_adjacent_pair():
-    bad = colouring.CliqueCertificate(
-        n=4, vertices=(VertexWord(0, 4), VertexWord(1, 4)), size=2
-    )
-    assert not colouring.verify_clique(bad)
+        n = 1 << k
+        words = colouring.sylvester_clique(k)
+        assert len(words) == n and words == sorted(set(words))
+        assert all(0 <= w < 1 << n for w in words)
+        assert all(adjacent_bits(u, v, n) for i, u in enumerate(words) for v in words[i + 1 :])
+    with pytest.raises(ValueError):
+        colouring.sylvester_clique(7)
 
 
 # --- colourings ---------------------------------------------------------------
 
 def test_normal_cayley_colouring_n8():
-    outcome = search.enumerate_candidates(8)
-    lifted = families.lift_members(
-        [v.bits for v in outcome.certificates[0].vertices], 8
-    )
-    cert = colouring.normal_cayley_colouring(lifted, colouring.sylvester_clique(3))
+    # the search's first n = 8 tight set is the initial-segment family, so
+    # the colouring built from the family is the one the search gave
+    first = search.enumerate_candidates(8).certificates[0]
+    members = [v.bits for v in families.initial_segment_family(8).members]
+    assert [v.bits for v in first.vertices] == members == [0, 126, 190, 222, 238, 246, 250, 252]
+    lifted = families.lift_members(members, 8)
+    cert = colouring.normal_cayley_colouring(lifted, colouring.sylvester_clique(3), 8)
     assert cert.palette_size == 8
     assert all(cert.colour.count(c) == 32 for c in range(8))
     assert colouring.verify_colouring(cert)
+    assert cert == colouring.omega_colouring(8)
 
 
 def test_normal_cayley_colouring_size_mismatch():
-    with pytest.raises(ValueError):
-        colouring.normal_cayley_colouring([0], colouring.sylvester_clique(3))
+    with pytest.raises(ValueError, match="vertex count"):
+        colouring.normal_cayley_colouring([0], colouring.sylvester_clique(3), 8)
+    with pytest.raises(ValueError, match="vertex count"):
+        colouring.normal_cayley_colouring(list(range(32)), [0, 1], 8)
 
 
 def test_bipartite_colouring():
-    cert = colouring.bipartite_colouring(6)
-    assert cert.palette_size == 2
-    assert colouring.verify_colouring(cert)
-    with pytest.raises(ValueError):
-        colouring.bipartite_colouring(8)
+    # the parity colouring is the even words shifted by 0 and 1; it is
+    # proper exactly when the adjacency distance n/2 is odd
+    for n in (2, 6, 10):
+        cert = colouring.omega_colouring(n)
+        assert cert.colour == tuple(w.bit_count() & 1 for w in range(1 << n))
+        assert (cert.kind, cert.palette_size) == (omega(n), 2)
+        assert colouring.verify_colouring(cert)
+    with pytest.raises(ValueError, match="capped at n = 10"):
+        colouring.omega_colouring(14)
+    even = [w for w in range(256) if not w.bit_count() & 1]
+    with pytest.raises(AssertionError, match="re-verification"):
+        colouring.normal_cayley_colouring(even, [0, 1], 8)
+
+
+def test_omega_colouring_8_runs_no_search(monkeypatch):
+    # the n = 8 colouring is the lifted initial-segment family's translates,
+    # so it needs no kernel search and no exact elimination
+    want = colouring.omega_colouring(8).colour
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the n = 8 colouring ran a search")
+
+    monkeypatch.setattr(search, "kernel_reduce", refuse)
+    monkeypatch.setattr(ratmat, "rcef", refuse)
+    assert colouring.omega_colouring(8).colour == want
+    assert colouring.chi_status(8).colouring.colour == want
 
 
 def test_psi_colouring_small_orders():
@@ -185,7 +197,7 @@ def test_translation_check_matches_the_class_scan():
             colour[w] = rng.randrange(8)
         colourings[8].append(colour)
     for n, flips in ((6, range(64)), (10, rng.sample(range(1024), 6))):
-        real = list(colouring.bipartite_colouring(n).colour)
+        real = list(colouring.omega_colouring(n).colour)
         colourings[n] = [real] + [real[:w] + [1 - real[w]] + real[w + 1 :] for w in flips]
     for n in (4, 6, 8):
         # classes {u, u ^ d}: improper exactly along the one difference d
@@ -261,10 +273,12 @@ def test_chi_status_attaches_colouring_exactly_when_equal():
 
 
 def test_chi_status_4_checks_its_clique(monkeypatch):
-    # the lower bound "4 pairwise orthogonal words" rests on a checked clique
-    monkeypatch.setattr(colouring, "verify_clique", lambda cert: False)
-    with pytest.raises(AssertionError):
-        colouring.chi_status(4)
+    # the lower bound "4 pairwise orthogonal words" rests on a checked
+    # clique, and so does the bound of 8 words at n = 8
+    monkeypatch.setattr(colouring, "adjacent_bits", lambda u, v, n: False)
+    for n in (4, 8):
+        with pytest.raises(AssertionError, match="non-clique"):
+            colouring.chi_status(n)
 
 
 def test_chi_status_16_cites_the_exhausted_search():

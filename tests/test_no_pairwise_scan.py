@@ -20,7 +20,7 @@ from pathlib import Path
 import ortho_lab
 
 ALLOWED = {
-    "verify_clique",  # a clique is a set of edges, one per pair
+    "sylvester_clique",  # a clique is a set of edges, one per pair
     "exhaustive_tight_sets",  # the backtracking oracle shares nothing with the search
     "small_odd_family",  # rechecks one witness against every member
 }
@@ -90,6 +90,6 @@ def test_colouring_path_builds_no_vertex_words():
                     isinstance(node, ast.Attribute) and node.attr == "classes"
                 ):
                     builders.add(f.name)
-    emitters = {"psi_colouring", "bipartite_colouring", "normal_cayley_colouring", "omega_colouring"}
+    emitters = {"psi_colouring", "normal_cayley_colouring", "omega_colouring"}
     assert emitters | {"verify_colouring", "decode_colouring", "colouring_payload"} <= path
     assert COLOURING_HELPERS <= path and not path & builders

@@ -39,15 +39,16 @@ def find_addable(members, universe, n):
     return None
 
 
-def translate_disjointness(s_vertices, clique):
-    """True iff the |clique| translates of the set are pairwise disjoint.
-    The set must be independent; that is a precondition, not a result."""
-    if not pairwise_independent(s_vertices, omega(clique.n)):
+def translate_disjointness(s_vertices, shifts, n):
+    """True iff the translates of the set by the shift words are pairwise
+    disjoint.  The set must be independent; that is a precondition, not
+    a result."""
+    if not pairwise_independent(s_vertices, omega(n)):
         raise ValueError("translate test needs an independent set")
     base = set(s_vertices)
-    for i, a in enumerate(clique.vertices):
-        for b in clique.vertices[i + 1 :]:
-            shift = a.bits ^ b.bits
+    for i, a in enumerate(shifts):
+        for b in shifts[i + 1 :]:
+            shift = a ^ b
             if any((x ^ shift) in base for x in base):
                 return False
     return True
@@ -149,24 +150,24 @@ def test_normal_cayley_colouring_matches_translate_oracle():
     clique = colouring.sylvester_clique(3)
     for t in search.exhaustive_tight_sets(8):
         lifted = families.lift_members(t, 8)
-        assert translate_disjointness(lifted, clique)
-        cert = colouring.normal_cayley_colouring(lifted, clique)
+        assert translate_disjointness(lifted, clique, 8)
+        cert = colouring.normal_cayley_colouring(lifted, clique, 8)
         assert cert.palette_size == 8
         assert all(cert.colour.count(c) == 32 for c in range(8))
     # swap a member for x ^ a ^ b: the translates by a and b then share
     # x ^ a.  Clique words differ in n/2 places, so x and x ^ a ^ b are
     # adjacent and the oracle refuses the set as not independent.
-    a, b = clique.vertices[0].bits, clique.vertices[1].bits
+    a, b = clique[0], clique[1]
     x = lifted[0]
     forged = sorted(lifted[:-1] + [x ^ a ^ b])
     assert len(set(forged)) == 32
     with pytest.raises(ValueError):
-        translate_disjointness(forged, clique)
+        translate_disjointness(forged, clique, 8)
     with pytest.raises(ValueError, match="translates overlap"):
-        colouring.normal_cayley_colouring(forged, clique)
+        colouring.normal_cayley_colouring(forged, clique, 8)
     # a negative member would index the colour list from its end
     with pytest.raises(ValueError, match="n-bit words"):
-        colouring.normal_cayley_colouring([x - 256] + lifted[1:], clique)
+        colouring.normal_cayley_colouring([x - 256] + lifted[1:], clique, 8)
 
 
 
