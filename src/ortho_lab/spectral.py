@@ -1,19 +1,13 @@
 """Eigenvalue data for the orthogonality graph and its quotient.
 
-The least eigenvalue has a closed form when 4 | n, which feeds the ratio
-bound.  The tau-eigenspace is spanned by character columns indexed by
-2-subsets and (n-2)-subsets; everything here verifies those facts by
-direct computation rather than quoting them.
-
-The adjacency operator is never materialized.  A graph is its
-connection set (``graphs.connection_set``) on the group Z_2^n, so the
-Walsh transform diagonalizes adjacency and the transform of the set's
-indicator is the whole spectrum (Babai, JCTB 27, 1979), with no case
-per graph; independence, maximality and the ratio-bound equality test
-are read off it.  The tau-eigenspace
-is checked independently of the transform: A*chi_p = (sum of chi_p over
-the connection set) * chi_p on a Cayley graph, so each 2-subset and
-(n-2)-subset character's eigenvalue is its sum over Omega's differences.
+Both are Cayley graphs on Z_2^n (``graphs.connection_set``), so A's
+eigenvalue on the character chi_p is chi_p summed over the connection set
+(Babai, JCTB 27, 1979).  That sum depends only on the weight of p, so the
+spectrum is one Krawtchouk row, ``weight_row`` (Delsarte, Philips Res.
+Rep. Suppl. 10, 1973): the least eigenvalue, the ratio bound, the Gram
+coefficients and the spectrum on every character are its entries.  Set
+facts read that spectrum through the Walsh transform of an indicator; the
+tau-eigenspace is checked apart from the row, by direct character sums.
 
 Sign matrices over pairs are built as one 0/1 numpy table
 (``_sign_row_mask``: a row per word, a column per 2-subset, 1 where the
@@ -35,6 +29,7 @@ from .graphs import (
     Family,
     GraphKind,
     connection_set,
+    degree_of,
     full_mask,
     is_y_canonical,
     omega,
@@ -46,15 +41,38 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-def least_eigenvalue(n: int) -> Fraction:
-    """Least adjacency eigenvalue of the full graph, -binom(n, n/2)/(n-1).
+def weight_row(kind: GraphKind) -> list[int]:
+    """A's eigenvalue on a character of each weight, in Python ints.  On
+    Omega, chi_p of weight i summed over the differences d, counted by
+    s = |d & p|, is K(i) = sum_s (-1)^s C(i, s) C(n-i, n/2-s), checked by
+    K(0) = degree and Parseval.  The quotient's position character j is
+    chi_(j << 2), and its differences are Omega's with bit 0 clear, so its
+    entry i is the mean of the sums at p and p ^ 1, for i <= n - 2."""
+    n, half = kind.n, kind.n // 2
+    if kind.family is Family.PSI:
+        raise ValueError("weight rows exist for the full graph and its quotient")
+    row = [
+        sum((-1) ** s * comb(i, s) * comb(n - i, half - s) for s in range(min(i, half) + 1))
+        for i in range(n + 1)
+    ] if n % 2 == 0 else [0] * (n + 1)
+    parseval = sum(comb(n, i) * k * k for i, k in enumerate(row))
+    if row[0] != degree_of(n) or parseval != row[0] << n:
+        raise ArithmeticError(f"weight row {row} fails its degree or Parseval check")
+    if kind.family is Family.Y:
+        return [(a + b) // 2 for a, b in zip(row, row[1:n])]
+    return row
 
-    The closed form needs 4 | n; other residues are rejected rather than
-    given a wrong value.
-    """
+
+def least_eigenvalue(n: int) -> Fraction:
+    """Least adjacency eigenvalue of the full graph for 4 | n: the weight
+    row's entry at weight 2, where the tau-eigenspace's characters sit.  A
+    row whose minimum lies elsewhere raises ArithmeticError."""
     if n % 4 != 0:
-        raise ValueError("closed form valid only for n divisible by 4")
-    return Fraction(-comb(n, n // 2), n - 1)
+        raise ValueError("least eigenvalue evaluated only for n divisible by 4")
+    row = weight_row(omega(n))
+    if min(row) != row[2]:
+        raise ArithmeticError(f"least eigenvalue {min(row)} is not at weight 2")
+    return Fraction(row[2])
 
 
 @dataclass(frozen=True)
@@ -69,24 +87,12 @@ class BoundReport:
 
 
 def ratio_bound(kind: GraphKind) -> BoundReport:
-    """Independence bound v(-tau)/(d-tau), exact.
-
-    The quotient inherits half the degree and half the least eigenvalue,
-    so its bound is exactly a quarter of the full graph's.
-    """
-    n = kind.n
-    if n % 4 != 0:
+    """Independence bound v(-tau)/(d-tau), exact, read off the weight row:
+    v = 2^(len(row) - 1), d = row[0] and tau = min(row)."""
+    if kind.n % 4 != 0:
         raise ValueError("ratio bound evaluated only for n divisible by 4")
-    tau = least_eigenvalue(n)
-    if kind.family is Family.OMEGA:
-        v, d = 1 << n, comb(n, n // 2)
-        power_form = Fraction(1 << n, n)
-    elif kind.family is Family.Y:
-        v, d = 1 << (n - 2), comb(n, n // 2) // 2
-        tau = tau / 2
-        power_form = Fraction(1 << (n - 2), n)
-    else:
-        raise ValueError("bound defined for the full graph and its quotient")
+    row = weight_row(kind)
+    v, d, tau = 1 << (len(row) - 1), row[0], Fraction(min(row))
     bound = v * (-tau) / (d - tau)
     return BoundReport(
         kind=kind,
@@ -95,7 +101,7 @@ def ratio_bound(kind: GraphKind) -> BoundReport:
         least_eigenvalue=tau,
         bound=bound,
         is_integer=bound.denominator == 1,
-        matches_power_form=bound == power_form,
+        matches_power_form=bound == Fraction(v, kind.n),
     )
 
 
@@ -159,9 +165,13 @@ def indicator(kind: GraphKind, members: Sequence[int]) -> np.ndarray:
 
 
 def adjacency_spectrum(kind: GraphKind) -> np.ndarray:
-    """A's eigenvalue on every character: the transform of the connection
-    set's indicator, whose entry k is the eigenvalue on character k."""
-    return wht(indicator(kind, connection_set(kind)))
+    """A's eigenvalue on every character k: the weight row at k's weight."""
+    import numpy as np
+
+    if kind.n > 16:
+        raise ValueError(f"spectra are gathered for n <= 16, got {kind.n}")
+    row = weight_row(kind)
+    return np.array(row, dtype=np.int64)[popcounts(len(row) - 1)]
 
 
 def first_addable(kind: GraphKind, members: Sequence[int]) -> Optional[int]:
@@ -197,8 +207,8 @@ def verify_tau_eigenspace(n: int) -> TauEigenspaceReport:
     On a Cayley graph chi_p is an eigenvector with eigenvalue the sum of
     chi_p(d) over the connection set S, that is |S| - 2 #{d in S :
     |d & p| odd}; as |chi_p| = 1 the column's defect is |sum - tau|.
-    Deliberately not the transform, so this check does not rest on the
-    spectrum the equality test reads."""
+    Deliberately not the weight row, so this check tests the row's entry
+    at weight 2, which is tau."""
     import numpy as np
 
     if n not in (4, 8):
@@ -226,16 +236,13 @@ def equality_condition_check(kind: GraphKind, members: Sequence[int]) -> bool:
     characteristic vector z: A(z - (s/v)1) == tau (z - (s/v)1).
 
     Scaling by v keeps u = v z - s 1 in integers.  A is diagonal in the
-    Walsh basis with the transform of the connection indicator as its
-    spectrum, so the test holds iff the transform of u vanishes wherever
-    that spectrum differs from tau.  Holds exactly when S attains the
-    bound; fails otherwise.
-    """
+    Walsh basis, so the test holds iff the transform of u vanishes wherever
+    the spectrum is above its minimum tau.  Holds exactly when S attains
+    the bound."""
     z = indicator(kind, members)
     v, s = z.size, len(members)
-    tau = ratio_bound(kind).least_eigenvalue
-    off_tau = adjacency_spectrum(kind) * tau.denominator != tau.numerator
-    return not wht(v * z - s)[off_tau].any()
+    lam = adjacency_spectrum(kind)
+    return not wht(v * z - s)[lam != lam.min()].any()
 
 
 # -- neighbourhood sign-matrix identities --------------------------------------
@@ -370,7 +377,7 @@ def neighbourhood_gram_spectrum(n: int) -> GramSpectrumReport:
     Neumaier, Distance-Regular Graphs, 1989, section 9.1).
 
     Checked on every entry: G = c0 I + c1 L + c2 L' (L = pairs sharing a
-    point, L' = disjoint pairs) with closed-form coefficients, that is
+    point, L' = disjoint pairs) with coefficients from the weight row, that is
     aI + bM + cJ with M = B^T B for B = pair_incidence(n).  Given
     B B^T = (n-2) I + J and column sums 2, G acts as a + b(2n-2) + cN on
     span(1), as a on ker B and as a + b(n-2) on B^T(1-perp), of dimensions
@@ -387,9 +394,7 @@ def neighbourhood_gram_spectrum(n: int) -> GramSpectrumReport:
     if n not in (8, 12, 16):
         raise ValueError("spectrum checked for n in {8, 12, 16}")
     npairs = comb(n, 2)
-    c0 = comb(n, n // 2)
-    c1 = c0 - 8 * comb(n - 3, n // 2 - 1)
-    c2 = c0 - 16 * comb(n - 4, n // 2 - 1)
+    c0, c1, c2 = weight_row(omega(n))[0:5:2]  # weights 0, 2 and 4
     a, b, c = c0 - 2 * c1 + c2, c1 - c2, c2
     pairs = np.array(two_subset_masks(n))
     gram = adjacency_spectrum(omega(n))[pairs[:, None] ^ pairs]

@@ -699,6 +699,22 @@ def test_psi_colouring_16_certificate_bytes_are_pinned(tmp_path, capsys):
         (["status", "--n", "64"], "7da350f492fff8aa87b8348857d0e2fbf2585f0d897ad6cf0d67fd31cb1c35e3"),
         (["spectrum", "--n", "12"], "5e82a4dd50c8f7c1fd1accff08902762597c77811ead8c13d8a1250ca1ebe0ae"),
         (["spectrum", "--n", "16"], "5a3640d7a60d89142d8f2be0193f8be02f822c200d99803a81abcddff4dbc719"),
+        (["bound", "--n", "8"], "3213bdd4cd4114612b4972182146c1211ef1de711acd23e85d9e1b93b01dcf80"),
+        (["bound", "--n", "12"], "ef379f56d032580f688fe97db497eb93faec91acf6284082b045a583a6288182"),
+        (["bound", "--n", "16"], "04696fedc68a52eef4a76ea6db335e5fd7d68a85dfa0c64b60d0524246d03fd4"),
+        (["bound", "--n", "64"], "72d472d15eba0739e8d6bd967adc5b74b3979d87da226933b8237fda451e3d67"),
+        (
+            ["bound", "--n", "4", "--kind", "y"],
+            "7a2adc5de6e5aae22d73c0cf55a1185ea5918f3ee1bbed4ff6f4cb1525cfa5f4",
+        ),
+        (
+            ["bound", "--n", "16", "--kind", "y"],
+            "97366dbfd07bc42b4ccebac5aa9f6f7ce335fc2257c16f8e94dd3459faf29a56",
+        ),
+        (
+            ["bound", "--n", "64", "--kind", "y"],
+            "e314e3fc7188e754a9185a9c39f0905fca05c18e8c7cfd425c1fe17bb7ac15e8",
+        ),
     ],
     ids=(
         "search4",
@@ -720,6 +736,7 @@ def test_psi_colouring_16_certificate_bytes_are_pinned(tmp_path, capsys):
         *("psi1", "psi2", "psi4", "psi8"),
         *("status1", "status2", "status4", "status8"),
         *("search16", "search12", "search8-3c", "status64", "spectrum12", "spectrum16"),
+        *("bound8", "bound12", "bound16", "bound64", "bound4-y", "bound16-y", "bound64-y"),
     ),
 )
 def test_certificate_bytes_are_pinned(tmp_path, capsys, argv, digest):

@@ -46,6 +46,7 @@ def probe(runs):
 def test_numpy_free_commands_and_their_verify_never_load_numpy(tmp_path):
     emits = [
         ["bound", "--n", "8"],
+        ["bound", "--n", "64", "--kind", "y"],
         ["psi", "--k", "4"],
         ["colour", "--n", "4", "--graph", "psi"],
         ["families", "--n", "12", "--which", "m2k"],

@@ -32,14 +32,116 @@ def test_ratio_bound_closed_form():
         assert rep.is_integer == (n & (n - 1) == 0)
 
 
+def transform_spectrum(kind):
+    """The transform of the connection set's indicator, whose entry k is
+    A's eigenvalue on character k: the oracle for the gathered row."""
+    return spectral.wht(spectral.indicator(kind, connection_set(kind)))
+
+
 def test_tau_is_the_least_eigenvalue():
     # the ratio bound holds only with the least eigenvalue, not just any one
     for n in (4, 8, 12, 16):
-        assert int(spectral.adjacency_spectrum(omega(n)).min()) == spectral.least_eigenvalue(n)
+        assert int(transform_spectrum(omega(n)).min()) == spectral.least_eigenvalue(n)
     for n in (8, 12, 16):
         kind = y_quotient(n)
-        least = int(spectral.adjacency_spectrum(kind).min())
+        least = int(transform_spectrum(kind).min())
         assert least == spectral.ratio_bound(kind).least_eigenvalue
+
+
+def test_adjacency_spectrum_is_the_transform():
+    # odd n included: Omega_n has no edges there, and its row is all zeros
+    kinds = [omega(n) for n in range(1, 17)] + [y_quotient(n) for n in (4, 8, 12, 16)]
+    for kind in kinds:
+        assert spectral.adjacency_spectrum(kind).tolist() == transform_spectrum(kind).tolist()
+
+
+def test_adjacency_spectrum_refuses_n_above_16_before_any_array(monkeypatch):
+    def no_array(n):
+        raise AssertionError("a 2^n-entry array was built")
+
+    monkeypatch.setattr(spectral, "popcounts", no_array)
+    for kind in (omega(18), y_quotient(20), omega(64)):
+        with pytest.raises(ValueError):
+            spectral.adjacency_spectrum(kind)
+
+
+def test_weight_row_matches_the_closed_forms():
+    # the formulas the row replaced: tau = -C(n, n/2)/(n-1) at weight 2,
+    # and the quotient with half the degree and half of tau
+    for n in range(4, 65, 4):
+        tau = Fraction(-comb(n, n // 2), n - 1)
+        assert spectral.least_eigenvalue(n) == tau
+        row = spectral.weight_row(omega(n))
+        assert len(row) == n + 1 and row[0] == comb(n, n // 2) and row[2] == tau
+        quot = spectral.weight_row(y_quotient(n))
+        assert len(quot) == n - 1 and quot[0] == comb(n, n // 2) // 2
+        assert min(quot) == quot[1] == tau / 2
+        # the quotient's own Parseval identity, on 2^(n-2) vertices
+        assert sum(comb(n - 2, i) * k * k for i, k in enumerate(quot)) == quot[0] << (n - 2)
+        rep = spectral.ratio_bound(y_quotient(n))
+        v, d = 1 << (n - 2), comb(n, n // 2) // 2
+        bound = v * (-tau / 2) / (d - tau / 2)
+        assert (rep.kind, rep.vertex_count, rep.degree) == (y_quotient(n), v, d)
+        assert (rep.least_eigenvalue, rep.bound) == (tau / 2, bound)
+        assert rep.is_integer == (bound.denominator == 1)
+        assert rep.matches_power_form == (bound == Fraction(1 << (n - 2), n))
+    with pytest.raises(ValueError):
+        spectral.weight_row(psi(4))
+
+
+def test_weight_row_refuses_a_degree_it_does_not_start_at(monkeypatch):
+    # a row that passes Parseval but starts off the graph's degree, as the
+    # row of another weight's words would
+    true_degree = spectral.degree_of
+    monkeypatch.setattr(spectral, "degree_of", lambda n: true_degree(n) + 2)
+    with pytest.raises(ArithmeticError):
+        spectral.weight_row(omega(8))
+
+
+def test_weight_row_refuses_a_miscount(monkeypatch):
+    # one binomial count off by one moves K(1) but not K(0): Parseval fails
+    true_comb = spectral.comb
+    monkeypatch.setattr(spectral, "comb", lambda a, b: true_comb(a, b) + ((a, b) == (7, 4)))
+    for kind in (omega(8), y_quotient(8)):
+        with pytest.raises(ArithmeticError):
+            spectral.weight_row(kind)
+
+
+def forge_row(monkeypatch, weight, delta):
+    """Substitute a weight row for Omega_8 with delta added at one weight."""
+    true_row = spectral.weight_row
+
+    def forged(kind):
+        row = true_row(kind)
+        if kind == omega(8):
+            row[weight] += delta
+        return row
+
+    monkeypatch.setattr(spectral, "weight_row", forged)
+
+
+def test_least_eigenvalue_refuses_a_minimum_off_weight_two(monkeypatch):
+    forge_row(monkeypatch, 4, -30)  # K(4) = 6 becomes -24, below K(2) = -10
+    with pytest.raises(ArithmeticError):
+        spectral.least_eigenvalue(8)
+
+
+def test_tau_eigenspace_checks_the_rows_tau(monkeypatch):
+    forge_row(monkeypatch, 2, -2)  # still the minimum, at weight 2
+    assert spectral.least_eigenvalue(8) == -12
+    rep = spectral.verify_tau_eigenspace(8)
+    assert not rep.ok and rep.max_defect == 2
+
+
+def test_neighbourhood_gram_spectrum_reads_the_row(monkeypatch):
+    # K(4) + 2 moves c2 and every disjoint-pair entry of G alike, so G still
+    # has the row's form, but not the eigenvalues that c0 alone gives
+    forge_row(monkeypatch, 4, 2)
+    rep = spectral.neighbourhood_gram_spectrum(8)
+    assert rep.coefficients == (70, -10, 8)
+    assert rep.identity_ok and not rep.multiplicities_ok and not rep.ok
+    with pytest.raises(ArithmeticError):
+        search.kernel_reduce(8)
 
 
 def test_ratio_bound_quotient_is_a_quarter():
@@ -248,6 +350,15 @@ def test_neighbourhood_gram_spectrum_n8():
     # eigenvalue multiplicity accounting closes: 1 + 20 + 7 = C(8,2)
     assert sum(rep.multiplicities) == comb(8, 2)
     assert sum(m * v for m, v in zip(rep.multiplicities, rep.eigenvalues)) == rep.trace
+
+
+def test_gram_coefficients_are_the_binomial_differences():
+    # the closed forms the row replaced
+    for n in (8, 12, 16):
+        c0 = comb(n, n // 2)
+        c1 = c0 - 8 * comb(n - 3, n // 2 - 1)
+        c2 = c0 - 16 * comb(n - 4, n // 2 - 1)
+        assert spectral.neighbourhood_gram_spectrum(n).coefficients == (c0, c1, c2)
 
 
 def test_neighbourhood_gram_spectrum_names_a_forged_entry(monkeypatch):
