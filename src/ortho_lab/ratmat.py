@@ -16,13 +16,13 @@ Three exact checks make the whole proof of that form:
 
 - ``_inverse`` succeeds only if B is nonsingular over the integers, so
   the rank of A is at least r, the number of pivots;
-- ``_echelon_identity`` gives C @ A[piv] == scale * A, so the rank is at
-  most r and C spans the column space;
-- the vanishing checks and the gcd check make C the reduced form, whose
-  pivot rows are the lex-first ones over the rationals.
+- ``_echelon_identity`` gives C[piv] == scale * I and C @ A[piv] ==
+  scale * A, so the rank is at most r and C spans the column space;
+- the vanishing check, C zero above pivot row k from column k on, makes
+  C the reduced form, with increasing, rationally lex-first pivot rows.
 
-A prime that hides a pivot fails one of them, and ArithmeticError is
-raised; there is no fallback.
+The scale is the least one because C is divided by its content.  A prime
+that hides a pivot fails a check, and ArithmeticError is raised.
 
 Every array is int64, and every product is exact: a product that could
 reach 2^63 is refused with ArithmeticError (``_int64``), never widened.
@@ -58,15 +58,13 @@ class EchelonResult:
 
 
 def _matrix(a: Matrix) -> np.ndarray:
-    """``a`` as a 2-D int64 array.  Ragged rows raise ValueError, entries
-    that are not Python ints TypeError, and entries past int64 numpy's
-    OverflowError, an ArithmeticError."""
+    """``a`` as a 2-D int64 array.  Entries that are not Python ints raise
+    TypeError; numpy raises ValueError on ragged rows and OverflowError,
+    an ArithmeticError, on entries past int64."""
     import numpy as np
 
     cols = len(a[0]) if a else 0
     for row in a:
-        if len(row) != cols:
-            raise ValueError("ragged rows")
         if any(type(x) is not int for x in row):
             # a Fraction would floor-divide silently below
             raise TypeError("entries must be Python ints")
@@ -78,8 +76,6 @@ def mat_vec(a: np.ndarray, v: np.ndarray) -> list[int]:
     import numpy as np
 
     a, v = np.asarray(a), np.asarray(v)
-    if a.shape[1] != len(v):
-        raise ValueError("shape mismatch")
     return _dot(a, v[:, None])[:, 0].tolist()
 
 
@@ -206,11 +202,8 @@ def _echelon(full: np.ndarray) -> EchelonResult:
     c, scale = c // g, scale // g
 
     if not (
-        scale > 0
-        and all(x < y for x, y in zip(piv, piv[1:]))
-        and _echelon_identity(c, scale, piv, full)
+        _echelon_identity(c, scale, piv, full)
         and not any(c[:p, k:].any() for k, p in enumerate(piv + [len(c)]))
-        and np.gcd.reduce(c.ravel(), initial=scale) == 1
     ):
         raise ArithmeticError("echelon form fails its exact check")
     return EchelonResult(matrix=c, rank=r, pivot_rows=piv, scale=int(scale))

@@ -214,8 +214,6 @@ def verify_tau_eigenspace(n: int) -> TauEigenspaceReport:
     if n not in (4, 8):
         raise ValueError("exhaustive eigenspace check only for n in {4, 8}")
     tau = least_eigenvalue(n)
-    if tau.denominator != 1:
-        raise ArithmeticError(f"least eigenvalue {tau} is not an integer")
     pairs = two_subset_masks(n)
     masks = pairs + [p ^ full_mask(n) for p in pairs]
     diffs = connection_set(omega(n))

@@ -576,6 +576,36 @@ def test_verify_rejects_tampered_colouring(tmp_path, capsys):
     assert code == 1
 
 
+def _out_of_range_class(cls):
+    # "10" is "%01x" % 16: canonical hex, but past the 4-bit words
+    def change(payload):
+        for i, vertex in enumerate(payload["classes"][cls]):
+            vertex["bits"] = "%x" % (16 + i)
+    return change
+
+
+def _set_family(family):
+    def change(payload):
+        payload["kind"]["family"] = family
+    return change
+
+
+@pytest.mark.parametrize("graph", ("omega", "psi"))
+@pytest.mark.parametrize(
+    "change",
+    (_out_of_range_class(-1), _out_of_range_class(0), _set_family("y")),
+    ids=("last-class-out-of-range", "first-class-out-of-range", "quotient-kind"),
+)
+def test_verify_rejects_colourings_the_decoder_passes(tmp_path, capsys, graph, change):
+    # an out-of-range class leaves its words at -1 and its colour unused,
+    # so only the least used colour tells (the first class keeps the
+    # colour count and the largest colour right); the quotient's edges are
+    # a subset of the full graph's, so only the kind refusal tells
+    env = json.loads(_emitted("colour", "--n", "4", "--graph", graph))
+    change(env["payload"])
+    assert_one_fail(*verify_text(tmp_path, capsys, certificates.dumps(env)))
+
+
 def test_verify_rejects_malformed_json(tmp_path, capsys):
     p = tmp_path / "junk.json"
     p.write_text("{\"kind\": \"bound\"}")

@@ -1,6 +1,7 @@
 """Cliques, translate colourings, and the chromatic-number verdicts."""
 
 import dataclasses
+import functools
 import random
 from fractions import Fraction
 
@@ -106,6 +107,12 @@ def psi_colour_map(n):
         r = x ^ (w >> m)
         out.append(inner[x] + (palette if r & 1 else 0))
     return out, 2 * palette
+
+
+def test_psi_colouring_is_rechecked(monkeypatch):
+    monkeypatch.setattr(colouring, "verify_colouring", lambda cert: False)
+    with pytest.raises(AssertionError, match="doubling check"):
+        colouring.psi_colouring(2)
 
 
 def test_psi_colouring_is_the_recursion_and_linear():
@@ -289,11 +296,37 @@ def test_chi_status_16_cites_the_exhausted_search():
     assert "4092" in joined and "4096" in joined
 
 
+@functools.cache
+def search16():
+    return search.enumerate_candidates(16)
+
+
 def test_chi_status_16_needs_an_empty_search(monkeypatch):
-    outcome = search.enumerate_candidates(16)
-    tight = dataclasses.replace(outcome, count_independent=1, count_containing_base=1)
-    monkeypatch.setattr(search, "enumerate_candidates", lambda n: tight)
-    with pytest.raises(AssertionError):
+    # each count alone refutes the verdict, and so do both
+    for changes in (
+        {"count_independent": 1},
+        {"count_containing_base": 1},
+        {"count_independent": 1, "count_containing_base": 1},
+    ):
+        tight = dataclasses.replace(search16(), **changes)
+        monkeypatch.setattr(search, "enumerate_candidates", lambda n, tight=tight: tight)
+        with pytest.raises(AssertionError):
+            colouring.chi_status(16)
+
+
+@pytest.mark.parametrize(
+    "bound", (Fraction(2049, 2), Fraction(1025)), ids=("fractional", "too-large")
+)
+def test_chi_status_16_needs_an_integral_quotient_bound_below_1025(monkeypatch, bound):
+    # 2049/2 leaves 4 * 2047/2 < 4096 but is no integer; 1025 would leave
+    # the graph room for a class of 4 * 1024 = 4096 words
+    outcome = search16()
+    monkeypatch.setattr(search, "enumerate_candidates", lambda n: outcome)
+    true_bound = spectral.ratio_bound
+    monkeypatch.setattr(
+        spectral, "ratio_bound", lambda kind: dataclasses.replace(true_bound(kind), bound=bound)
+    )
+    with pytest.raises(AssertionError, match="does not rule out"):
         colouring.chi_status(16)
 
 

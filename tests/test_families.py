@@ -67,6 +67,12 @@ def test_small_odd_family_sizes():
         assert rep.quadrupled_size == 4 * size
 
 
+def test_small_odd_family_rechecks_its_witness(monkeypatch):
+    monkeypatch.setattr(families, "adjacent_bits", lambda u, v, n: True)
+    with pytest.raises(ArithmeticError, match="not addable"):
+        families.small_odd_family(8)
+
+
 def test_small_odd_family_independence_methods():
     assert families.small_odd_family(8).independence_method == "pairwise_scan"
     assert families.small_odd_family(24).independence_method == "distance_cap"

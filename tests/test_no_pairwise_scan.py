@@ -53,7 +53,7 @@ def test_adjacent_bits_is_called_only_from_the_allowlist():
     assert _callers("adjacent_bits") <= ALLOWED
 
 
-def test_the_gram_matrix_is_read_off_the_transform():
+def test_the_gram_matrix_is_gathered_from_the_adjacency_spectrum():
     assert _callers("_sign_row_mask") == {"_product_rows", "gram_identities"}
     assert "neighbourhood_gram_spectrum" in _callers("adjacency_spectrum")
 

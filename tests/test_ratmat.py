@@ -312,6 +312,10 @@ def _later_row(m, rows, cols):
     return rows, cols
 
 
+def _reversed(m, rows, cols):
+    return rows[::-1], cols[::-1]
+
+
 def _patch_minor(monkeypatch, forge):
     true_minor = ratmat._minor
     monkeypatch.setattr(ratmat, "_minor", lambda m: forge(m, *true_minor(m)))
@@ -323,14 +327,16 @@ def _patch_minor(monkeypatch, forge):
         (_repeat_row, "pivot block is singular"),
         (_drop_pivot, "echelon form fails its exact check"),
         (_later_row, "fails its exact check"),
+        (_reversed, "echelon form fails its exact check"),
     ),
-    ids=("repeated-row", "dropped-pivot", "later-row"),
+    ids=("repeated-row", "dropped-pivot", "later-row", "out-of-order"),
 )
 def test_forged_pivots_are_refused(monkeypatch, forge, message):
     # each claim is well formed (as many rows as columns, all in range):
     # the pivot block's exact inverse refutes a singular one, and the
     # echelon form's exact check refutes a wrong rank or a pivot row that
-    # is not lex-first
+    # is not lex-first; pivots out of order leave a nonzero entry above a
+    # pivot row, which the vanishing check refuses
     incidence = spectral.pair_incidence(8)
     # every row of the 8 x 28 incidence is a pivot, so no later row can
     # stand in for one; its 28 x 8 transpose has rows to spare

@@ -13,6 +13,7 @@ from ortho_lab.graphs import (
     VertexWord,
     adjacent_bits,
     connection_set,
+    neighbours,
     omega,
     y_canonical_bits,
     y_quotient,
@@ -56,14 +57,44 @@ def test_kernel_reduce_checks_its_rank_ledger(monkeypatch):
         return lambda n: dataclasses.replace(true_spectrum(n), **changes)
 
     one, kernel, incidence = true_spectrum(8).multiplicities
-    for shift in (1, -1):
-        mults = (one, kernel + shift, incidence - shift)
+    # the +-1 shifts keep the sum N and move the incidence rank; a kernel
+    # one larger keeps the incidence rank n, and only the kernel dimension
+    # tells
+    for mults in (
+        (one, kernel + 1, incidence - 1),
+        (one, kernel - 1, incidence + 1),
+        (one, kernel + 1, incidence),
+    ):
         monkeypatch.setattr(spectral, "neighbourhood_gram_spectrum", forged(multiplicities=mults))
         assert spectral.neighbourhood_gram_spectrum(8).ok
         with pytest.raises(ArithmeticError, match="rank ledger"):
             search.kernel_reduce(8)
-    monkeypatch.setattr(spectral, "neighbourhood_gram_spectrum", forged(trace_ok=False))
+    for failed in ("identity_ok", "trace_ok"):
+        monkeypatch.setattr(spectral, "neighbourhood_gram_spectrum", forged(**{failed: False}))
+        with pytest.raises(ArithmeticError, match="rank ledger"):
+            search.kernel_reduce(8)
+
+
+def test_kernel_reduce_needs_the_neighbourhood_rows_to_vanish(monkeypatch):
+    true_rows = search._product_rows
+
+    def forged(n, base):
+        rows = true_rows(n, base)
+        rows[neighbours(y_quotient(n), base)[0] >> 2, 0] = 1
+        return rows
+
+    monkeypatch.setattr(search, "_product_rows", forged)
     with pytest.raises(ArithmeticError, match="rank ledger"):
+        search.kernel_reduce(8)
+
+
+def test_kernel_reduce_needs_echelon_rank_n(monkeypatch):
+    # the matrix is the true one: only the claimed rank is short
+    true_rcef = ratmat.rcef
+    monkeypatch.setattr(
+        ratmat, "rcef", lambda a: dataclasses.replace(true_rcef(a), rank=len(a[0]) - 1)
+    )
+    with pytest.raises(RuntimeError, match="echelon rank"):
         search.kernel_reduce(8)
 
 
@@ -82,6 +113,13 @@ def test_echelon_is_checked_against_the_product_rows(monkeypatch):
 
 
 # --- the int64 candidate scan -------------------------------------------------
+
+def test_scan_survivors_are_rechecked_exactly(monkeypatch):
+    true_scan = search._scan_01_candidates
+    monkeypatch.setattr(search, "_scan_01_candidates", lambda c, scale: true_scan(c, scale) + [3])
+    with pytest.raises(ArithmeticError, match="scan kept candidate 3"):
+        search.enumerate_candidates(8)
+
 
 def brute_force_scan(rows, scale, nbits):
     """Every nbits-bit x whose product with the integer rows has only

@@ -3,6 +3,7 @@ neighbourhood Gram matrix read off the Walsh spectrum, against the
 per-word popcount builders they replaced, kept here as the slow exact
 oracle."""
 
+import dataclasses
 import random
 
 import numpy as np
@@ -186,3 +187,10 @@ def test_gram_identities_name_a_failing_row(monkeypatch):
     assert not rep.ok and rep.row_sums_ok and not rep.product_all_minus_one
     assert rep.witness[:2] == ("product", words[5])
     assert (pairs[one] ^ pairs[zero]) >> rep.witness[2] & 1
+
+
+@pytest.mark.parametrize("flag", ("incidence_gram_ok", "row_sums_ok"))
+def test_gram_identity_report_needs_every_identity(flag):
+    rep = spectral.gram_identities(8)
+    assert rep.ok
+    assert not dataclasses.replace(rep, **{flag: False}).ok

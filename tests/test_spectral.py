@@ -361,6 +361,39 @@ def test_gram_coefficients_are_the_binomial_differences():
         assert spectral.neighbourhood_gram_spectrum(n).coefficients == (c0, c1, c2)
 
 
+def test_neighbourhood_gram_spectrum_needs_three_distinct_actions(monkeypatch):
+    # an all-zero row gives G = 0, which has the row's form and trace, and
+    # acts as 0 on all three spaces: the eigenvalues c0 gives are 0 too
+    monkeypatch.setattr(spectral, "weight_row", lambda kind: [0] * (kind.n + 1))
+    rep = spectral.neighbourhood_gram_spectrum(8)
+    assert rep.eigenvalues == (0, 0, 0)
+    assert rep.identity_ok and rep.trace_ok
+    assert not rep.multiplicities_ok and not rep.ok
+
+
+def test_neighbourhood_gram_spectrum_needs_the_incidence_identities(monkeypatch):
+    true_identities = spectral._incidence_identities
+
+    def forged(n):
+        b, _, columns_ok = true_identities(n)
+        return b, [[0, 1]], columns_ok
+
+    monkeypatch.setattr(spectral, "_incidence_identities", forged)
+    rep = spectral.neighbourhood_gram_spectrum(8)
+    assert rep.identity_ok and rep.trace_ok
+    assert not rep.multiplicities_ok and not rep.ok
+
+
+def test_neighbourhood_gram_spectrum_checks_the_trace(monkeypatch):
+    def forge(gram):
+        gram[0, 0] += 1
+
+    record_gram(monkeypatch, forge)
+    rep = spectral.neighbourhood_gram_spectrum(8)
+    assert rep.trace == 1961
+    assert not rep.trace_ok and not rep.ok
+
+
 def test_neighbourhood_gram_spectrum_names_a_forged_entry(monkeypatch):
     # pairs 3 = {0, 4} and 17 = {2, 7} are disjoint, so the entry is c2 = 6
     def forge(gram):
@@ -384,7 +417,7 @@ def test_neighbourhood_gram_spectrum_checks_every_entry(monkeypatch):
     assert not rep.identity_ok and not rep.multiplicities_ok and not rep.ok
 
 
-def test_neighbourhood_gram_spectrum_reads_the_transform(monkeypatch):
+def test_neighbourhood_gram_spectrum_gathers_the_adjacency_spectrum(monkeypatch):
     # G[p, q] is the eigenvalue at p ^ q: forging the eigenvalue of the
     # weight-4 word {0, 1, 2, 3} forges G at every two disjoint pairs with
     # that union, the first at pairs 0 = {0, 1} and 13 = {2, 3}
@@ -410,6 +443,8 @@ def test_neighbourhood_gram_spectrum_needs_the_incidence_rank(monkeypatch):
     rep = spectral.neighbourhood_gram_spectrum(8)
     assert rep.multiplicities == (1, 21, 6)
     assert not rep.multiplicities_ok and not rep.ok
+    # 40 + 21 * 96 is not the trace 28 * 70 = 1960 of G
+    assert rep.trace == 1960 and not rep.trace_ok
 
 
 def move_second_one(b):
