@@ -3,7 +3,10 @@
 Canonical JSON everywhere: sorted keys, no insignificant whitespace, and
 a trailing newline, so byte-identical round trips are the norm and
 certificates can be diffed and hashed.  Vertices are objects with a
-lowercase fixed-width hex word and the dimension.  Counts that can leave
+lowercase fixed-width hex word and the dimension.  A vertex list is
+written by one template, a list at a time (`Words`), and `dumps` splices
+its text in: the bytes are those json writes for the list of vertex
+objects, without building one object per vertex.  Counts that can leave
 the 53-bit integer range (sizes, edge counts, bounds) are decimal
 strings; small structural numbers (dimensions, palette sizes, ranks,
 multiplicities) stay JSON numbers.  Rationals are "p/q" strings as
@@ -14,7 +17,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from operator import lt
 from typing import TYPE_CHECKING, Optional
 
@@ -62,6 +65,17 @@ def vertex(v: VertexWord) -> dict:
     return word(v.bits, v.n)
 
 
+class Words:
+    """A list of n-bit vertices, held as the text json writes for
+    [word(w, n) for w in words]."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, words, n: int):
+        item = '{"bits":"%s","n":%d}' % (bits_format(n), n)
+        self.text = "[" + ",".join([item] * len(words)) % tuple(words) + "]"
+
+
 def strict_int(x, what: str) -> int:
     """A decoded JSON integer; rejects floats, booleans and strings, which
     int() would coerce or overflow on."""
@@ -94,7 +108,22 @@ def envelope(kind: str, n: int, payload: dict) -> dict:
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    """The canonical text of obj.  Each `Words` is written as the
+    placeholder "\\u0000" and its text spliced in there, so a string
+    that json writes the same way is refused."""
+    lists = []
+
+    def hook(o):
+        if type(o) is not Words:
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        lists.append(o.text)
+        return "\0"
+
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"), default=hook)
+    pieces = text.split('"\\u0000"')
+    if len(pieces) != len(lists) + 1:
+        raise ValueError("U+0000 marks where a vertex list goes; it cannot be a string")
+    return "".join(chain.from_iterable(zip(pieces, lists + ["\n"])))
 
 
 def validate_envelope(obj) -> tuple[str, int, dict]:
@@ -189,7 +218,7 @@ def indset_payload(cert: search_mod.IndSetCertificate, base: VertexWord) -> dict
     return {
         "kind": graph_kind(cert.kind),
         "base": vertex(base),
-        "vertices": [vertex(v) for v in cert.vertices],
+        "vertices": Words([v.bits for v in cert.vertices], cert.kind.n),
         "size": big(cert.size),
         "contains_base": cert.contains_base,
         "meets_ratio_bound": cert.meets_ratio_bound,
@@ -198,11 +227,10 @@ def indset_payload(cert: search_mod.IndSetCertificate, base: VertexWord) -> dict
 
 
 def colouring_payload(cert: colouring_mod.ColouringCertificate) -> dict:
-    n = cert.kind.n
     return {
         "kind": graph_kind(cert.kind),
         "palette_size": cert.palette_size,
-        "classes": [[word(w, n) for w in cls] for cls in cert.word_classes()],
+        "classes": [Words(cls, cert.kind.n) for cls in cert.word_classes()],
     }
 
 
@@ -245,7 +273,7 @@ def family_payload(
         else big(report.quadrupled_size),
         "quadrupled_meets_bound": report.quadrupled_meets_bound,
         "members_omitted": omit,
-        "members": None if omit else [vertex(v) for v in report.members],
+        "members": None if omit else Words([v.bits for v in report.members], report.n),
         "symdiff": None
         if symdiff is None
         else {

@@ -60,6 +60,52 @@ def test_dumps_is_canonical_and_round_trips():
     assert text.index('"a"') < text.index('"b"')
 
 
+def _word_lists(n):
+    """Empty, the two end words, and 50 seeded random ascending words."""
+    rng = random.Random(n)
+    yield from ([], [0], [(1 << n) - 1])
+    yield sorted(rng.randrange(1 << n) for _ in range(50))
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 8, 16, 17, 64])
+def test_vertex_lists_are_written_as_json_writes_their_vertices(n):
+    def nest(vs):
+        return {"b": [1, vs, {"x": vs}], "a": {"vs": vs}}
+
+    for words in _word_lists(n):
+        want = nest([certificates.word(w, n) for w in words])
+        got = certificates.dumps(nest(certificates.Words(words, n)))
+        assert got == json.dumps(want, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["colour", "--n", "4"],
+        ["colour", "--n", "8"],
+        ["colour", "--graph", "psi", "--n", "4"],
+        ["colour", "--graph", "psi", "--n", "16"],
+        ["families", "--which", "segment", "--n", "8"],
+        ["families", "--which", "segment", "--n", "16"],
+        ["search", "--n", "8"],  # its independent sets carry vertex lists
+    ],
+)
+def test_emitted_vertex_lists_round_trip(capsys, argv):
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert certificates.dumps(json.loads(out)) == out
+
+
+def test_dumps_refuses_the_placeholder_string_and_unknown_objects():
+    words = certificates.Words([1, 2], 4)
+    for payload in ({"a": "\0"}, {"a": "\0", "b": words}, {"\0": words}):
+        with pytest.raises(ValueError):
+            certificates.dumps(payload)
+    for payload in ({"a": VertexWord(1, 4)}, [words, object()]):
+        with pytest.raises(TypeError):
+            certificates.dumps(payload)
+
+
 def test_envelope_shape():
     env = certificates.envelope("search", 8, {})
     assert env["schema_version"] == 2
@@ -409,7 +455,9 @@ def oracle_accepts(payload):
         cert = _lenient_decode(payload)
     except (ValueError, KeyError, TypeError):
         return False
-    return colouring.verify_colouring(cert) and certificates.colouring_payload(cert) == payload
+    return colouring.verify_colouring(cert) and (
+        json.loads(certificates.dumps(certificates.colouring_payload(cert))) == payload
+    )
 
 
 def decoder_accepts(payload):
@@ -519,6 +567,14 @@ def test_verify_rejects_tampered_bound(tmp_path, capsys):
     code, _, err = run_cli(["verify", str(path)], capsys)
     assert code == 1
     assert "FAIL" in err
+
+
+def test_verify_refuses_the_placeholder_string_with_one_fail(tmp_path, capsys):
+    code, out, _ = run_cli(["bound", "--n", "8"], capsys)
+    assert code == 0
+    env = json.loads(out)
+    env["payload"]["least_eigenvalue"] = "\0"
+    assert_one_fail(*verify_text(tmp_path, capsys, json.dumps(env)))
 
 
 def _search8_with_first_indset(capsys, change):

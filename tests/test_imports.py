@@ -49,6 +49,7 @@ def test_numpy_free_commands_and_their_verify_never_load_numpy(tmp_path):
         ["bound", "--n", "64", "--kind", "y"],
         ["psi", "--k", "4"],
         ["colour", "--n", "4", "--graph", "psi"],
+        ["colour", "--n", "16", "--graph", "psi"],  # the colour16 bench workload
         ["families", "--n", "12", "--which", "m2k"],
     ]
     outs = [str(tmp_path / f"cert{i}.json") for i in range(len(emits))]
