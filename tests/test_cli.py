@@ -460,12 +460,14 @@ def oracle_accepts(payload):
     )
 
 
-def decoder_accepts(payload):
-    try:
-        cert = certificates.decode_colouring(payload)
-    except ValueError:  # the decoder refuses with nothing else
-        return False
-    return colouring.verify_colouring(cert)
+def verify_accepts(tmp_path, capsys, n, payload):
+    """The verdict of `cli.verify` on the canonical envelope of payload;
+    a refusal must be exit 1 with one `FAIL:` line."""
+    text = certificates.dumps(certificates.envelope("colouring", n, payload))
+    code, out, err = verify_text(tmp_path, capsys, text)
+    if code != 0:
+        assert_one_fail(code, out, err)
+    return code == 0
 
 
 COLOURING_EMITS = [
@@ -521,34 +523,63 @@ def _mutate_once(rng, payload):
             node[i], node[i + 1] = node[i + 1], node[i]
 
 
-def test_decoder_agrees_with_the_re_encoding_oracle():
-    payloads = [json.loads(_emitted(*argv))["payload"] for argv in COLOURING_EMITS]
-    for payload in payloads:
-        assert oracle_accepts(payload) and decoder_accepts(payload)
+def test_decoder_agrees_with_the_re_encoding_oracle(tmp_path, capsys):
+    emitted = [(int(argv[2]), json.loads(_emitted(*argv))["payload"]) for argv in COLOURING_EMITS]
+    for n, payload in emitted:
+        assert oracle_accepts(payload) and verify_accepts(tmp_path, capsys, n, payload)
     for trap in COLOURING_TRAPS:
-        payload = _trapped(trap)["payload"]
-        assert not oracle_accepts(payload) and not decoder_accepts(payload), trap
+        env = _trapped(trap)
+        payload = env["payload"]
+        assert not oracle_accepts(payload), trap
+        assert not verify_accepts(tmp_path, capsys, env["n"], payload), trap
     rng = random.Random(22)
     verdicts = []
     for i in range(400):
-        payload = copy.deepcopy(rng.choice(payloads))
+        n, payload = rng.choice(emitted)
+        payload = copy.deepcopy(payload)
         _mutate_once(rng, payload)
         verdicts.append(oracle_accepts(payload))
-        assert decoder_accepts(payload) == verdicts[-1], (i, payload)
+        assert verify_accepts(tmp_path, capsys, n, payload) == verdicts[-1], (i, payload)
     # swapping whole classes renames the colours, which both accept
     assert 0 < sum(verdicts) < len(verdicts) // 2
 
 
-def test_verify_never_re_encodes_a_colouring(tmp_path, capsys, monkeypatch):
-    path = tmp_path / "psi8.json"
-    run_cli(["colour", "--n", "8", "--graph", "psi", "--out", str(path)], capsys)
+def _reversed_keys(x):
+    if isinstance(x, dict):
+        return {k: _reversed_keys(x[k]) for k in sorted(x, reverse=True)}
+    if isinstance(x, list):
+        return [_reversed_keys(v) for v in x]
+    return x
 
-    def refuse(cert):
-        raise AssertionError("verify re-encoded the colouring")
 
-    monkeypatch.setattr(certificates, "colouring_payload", refuse)
-    code, out, err = run_cli(["verify", str(path)], capsys)
-    assert code == 0 and out.startswith("OK:"), err
+@pytest.mark.parametrize(
+    "argv, key, false",
+    [
+        (["bound", "--n", "8"], "bound", '"999/1"'),
+        (["search", "--n", "8"], "candidates_total", '"257"'),
+        (["colour", "--n", "4"], "palette_size", "5"),
+        (["colour", "--n", "4", "--graph", "psi"], "palette_size", "5"),
+    ],
+    ids=["bound8", "search8", "colour4", "psi4"],
+)
+def test_verify_accepts_only_canonical_bytes(tmp_path, capsys, argv, key, false):
+    text = _emitted(*argv)
+    code, out, _ = verify_text(tmp_path, capsys, text)
+    assert code == 0 and out.startswith("OK")
+    env = json.loads(text)
+    # a parser that keeps the first of two equal keys reads the false value
+    assert text.count(f'"{key}":') == 1
+    repeated = text.replace(f'"{key}":', f'"{key}":{false},"{key}":')
+    assert json.loads(repeated) == env
+    variants = {
+        "repeated-key": repeated,
+        "indented": json.dumps(env, sort_keys=True, indent=1) + "\n",
+        "key-order": json.dumps(_reversed_keys(env), separators=(",", ":")) + "\n",
+        "no-trailing-newline": text[:-1],
+    }
+    for name, variant in variants.items():
+        assert json.loads(variant) == env, name
+        assert_one_fail(*verify_text(tmp_path, capsys, variant))
 
 
 def test_verify_rejects_segment_family_without_its_checks(tmp_path, capsys):
@@ -855,6 +886,9 @@ RAW = "@raw@"
         (["families", "--n", "12", "--which", "m2k"], ("payload", "factor"), "3.0"),
         (["psi", "--k", "3"], ("payload", "rows", 0, "n"), "2.0"),
         (["families", "--n", "8", "--which", "m2k"], ("n",), "1" + "0" * 300),
+        # at n = 1, True == 1, and the kind and palette size written back are true
+        (["colour", "--n", "1"], ("payload", "kind", "n"), "true"),
+        (["colour", "--n", "1"], ("payload", "palette_size"), "true"),
     ],
     ids=[
         "envelope-n-huge-float",
@@ -871,6 +905,8 @@ RAW = "@raw@"
         "family-factor-float",
         "psi-row-n-float",
         "m2k-envelope-n-huge-int",
+        "kind-n-true",
+        "palette-size-true",
     ],
 )
 def test_verify_decodes_integers_strictly(tmp_path, capsys, argv, path, raw):

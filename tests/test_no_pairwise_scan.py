@@ -26,7 +26,7 @@ ALLOWED = {
 }
 
 # colour-list helpers whose signatures do not name the certificate
-COLOURING_HELPERS = {"word_classes", "_psi_proper", "_class_words"}
+COLOURING_HELPERS = {"word_classes", "_psi_proper"}
 
 
 def _top_level():

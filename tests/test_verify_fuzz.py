@@ -1,10 +1,14 @@
 """Fuzzing ``verify``: every mutation of an emitted n = 4, 6 or 8
 certificate gives exit 1, one ``FAIL:`` line and no traceback.
 
-Every command's certificate is in the corpus.  A derivable one is
-re-run through the emitting command's producer and compared byte for
-byte, and a colouring must cover every vertex exactly once, so no single
-mutation turns one true certificate into another.  The envelope ``n`` is
+Every command's certificate is in the corpus.  ``verify`` requires the
+file to be, byte for byte, the canonical text of the certificate it
+re-derives (a derivable one re-run through the emitting command's
+producer, a colouring decoded, rechecked and re-encoded), and a
+colouring must cover every vertex exactly once, so no single mutation
+turns one true certificate into another, and no change of form (a
+repeated key, added whitespace) passes even where the parsed JSON is
+unchanged.  The envelope ``n`` is
 only ever set to a negative, zero, odd or at-least-2^63 value, so no
 mutation reaches the n = 16 search or a large family.  Examples are
 derandomized and bounded, so the run is the same every time.
@@ -186,8 +190,28 @@ def add_or_edit_envelope_key(data, env):
 
 def truncate(data, env):
     text = certificates.dumps(env)
-    # dropping only the trailing newline would leave the same JSON
-    return text[: data.draw(st.integers(0, len(text) - 2))]
+    # dropping only the trailing newline leaves the same JSON
+    return text[: data.draw(st.integers(0, len(text) - 1))]
+
+
+def repeat_a_key_or_add_whitespace(data, env):
+    """A change of form alone: one key of a random object repeated with a
+    changed value in front of it (a parser that keeps the last value reads
+    the certificate unchanged), or JSON whitespace after a ',' or ':'."""
+    if data.draw(st.booleans()):
+        node = _get(env, data.draw(st.sampled_from([p for p, x in _walk(env) if isinstance(x, dict)])))
+        key = data.draw(st.sampled_from(sorted(node)))
+        value = node[key]
+        changed = data.draw(st.sampled_from(_retyped(value) if _is_scalar(value) else [None, [], {}]))
+        node[key] = RAW
+        canonical = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
+        entry = f"{canonical(key)}:"
+        return certificates.dumps(env).replace(
+            entry + canonical(RAW), entry + canonical(changed) + "," + entry + canonical(value)
+        )
+    text = certificates.dumps(env)
+    i = data.draw(st.sampled_from([i for i, c in enumerate(text) if c in ",:"]))
+    return text[: i + 1] + data.draw(st.sampled_from([" ", "\t", "\n", "\r"])) + text[i + 1 :]
 
 
 def overwrite_a_byte(data, env):
@@ -207,6 +231,7 @@ SITES = {
     add_or_edit_envelope_key: None,
     truncate: None,
     overwrite_a_byte: None,
+    repeat_a_key_or_add_whitespace: None,
 }
 
 
