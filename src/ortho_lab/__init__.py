@@ -7,7 +7,9 @@ floating point anywhere in a proof path.
 
 numpy is imported inside the functions that compute with it, never at
 module level, so a command that does no array work (``bound``, ``psi``,
-a colouring of the recursive graph, and their ``verify``) never loads it.
+every colouring, ``status`` below n = 16, ``spectrum --n 4``, the
+families reports that run no transform, and their ``verify``) never
+loads it.
 """
 
 __version__ = "0.1.0"

@@ -174,7 +174,7 @@ def omega_colouring(n: int) -> ColouringCertificate:
         even = [w for w in range(1 << n) if not w.bit_count() & 1]
         return normal_cayley_colouring(even, [0, 1], n)
     if n == 8:
-        members = [v.bits for v in families.initial_segment_family(8).members]
+        members = families.quotient_words(families.segment_subsets(8), 8)
         return normal_cayley_colouring(families.lift_members(members, 8), sylvester_clique(3), 8)
     raise ValueError(f"no exact colouring construction for n={n}")
 

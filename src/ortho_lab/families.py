@@ -26,7 +26,6 @@ from .graphs import (
     adjacent_bits,
     full_mask,
     omega,
-    popcounts,
     y_canonical_bits,
     y_quotient,
 )
@@ -58,18 +57,21 @@ class FamilyReport:
 def segment_subsets(n: int) -> list[int]:
     """The qualifying subsets themselves (before quotient
     canonicalization): even size, at least half inside the segment."""
-    import numpy as np
-
     if n not in (8, 16):
         raise ValueError("segment family defined for n in {8, 16}")
-    total = popcounts(n)
-    inside = total[np.arange(1 << n) & full_mask(n // 4 - 1)]
-    return np.flatnonzero((total % 2 == 0) & (2 * inside >= total)).tolist()
+    seg = full_mask(n // 4 - 1)
+    even = (w for w in range(1 << n) if not w.bit_count() & 1)
+    return [w for w in even if 2 * (w & seg).bit_count() >= w.bit_count()]
+
+
+def quotient_words(words: Sequence[int], n: int) -> list[int]:
+    """The canonical quotient vertices of the words, once each, ascending."""
+    return sorted({y_canonical_bits(w, n) for w in words})
 
 
 def initial_segment_family(n: int) -> FamilyReport:
     raw = segment_subsets(n)
-    canon = sorted({y_canonical_bits(w, n) for w in raw})
+    canon = quotient_words(raw, n)
     kind = y_quotient(n)
     independent = search.check_independent(canon, kind)
     witness = spectral.first_addable(kind, canon)
@@ -90,6 +92,18 @@ def initial_segment_family(n: int) -> FamilyReport:
     )
 
 
+def small_odd_words(n: int) -> list[int]:
+    """The subsets of size below m = n/4 and of parity not m's, ascending."""
+    m = n // 4
+    singletons = [1 << i for i in range(n)]
+    return sorted(
+        sum(subset)
+        for size in range(m)
+        if (size - m) % 2
+        for subset in combinations(singletons, size)
+    )
+
+
 def small_odd_family(n: int) -> FamilyReport:
     """All subsets of size below m = n/4 with size not congruent to m mod 2.
     Two members differ in at most 2(m-1) < n/2 places, so the family is
@@ -100,13 +114,7 @@ def small_odd_family(n: int) -> FamilyReport:
     if n % 4 != 0 or not 8 <= n <= 24:
         raise ValueError("small-odd family defined for n in {8, 12, 16, 20, 24}")
     m = n // 4
-    singletons = [1 << i for i in range(n)]
-    members = sorted(
-        sum(subset)
-        for size in range(m)
-        if (size - m) % 2
-        for subset in combinations(singletons, size)
-    )
+    members = small_odd_words(n)
     kind = omega(n)
     if n <= 16:
         independent = search.check_independent(members, kind)
@@ -149,14 +157,12 @@ class SymdiffReport:
 
 def symdiff_transform_check(n: int) -> SymdiffReport:
     """XOR every qualifying subset with the segment: the image must be
-    exactly the odd subsets of size at most c."""
-    import numpy as np
-
+    exactly the odd subsets of size at most c.  For n in {8, 16}, m = c + 1
+    is even, so these are the small-odd family's words."""
     c = n // 4 - 1
     seg = full_mask(c)
     image = {w ^ seg for w in segment_subsets(n)}
-    total = popcounts(n)
-    target = set(np.flatnonzero((total % 2 == 1) & (total <= c)).tolist())
+    target = set(small_odd_words(n))
     witness = None
     if image != target:
         witness = min(image.symmetric_difference(target))

@@ -4,8 +4,10 @@ Vertices are n-bit words: bit i set means coordinate i+1 of the
 corresponding sign vector is -1, equivalently element i+1 belongs to the
 subset.  Sign multiplication is XOR, and each graph here is a Cayley
 graph on it: `connection_set` lists its differences, and the neighbour
-lists, the recursive graph's edge stream and the spectrum read that one
-list.  No adjacency matrix is ever built.
+lists, the recursive graph's edge stream, the colouring checks and the
+direct sign checks of ``spectral`` read that one list; the spectra read
+``spectral.weight_row`` instead.  No adjacency matrix is ever built, and
+every bit count is ``int.bit_count``.
 """
 
 from __future__ import annotations
@@ -14,10 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import comb
-from typing import TYPE_CHECKING, Iterator
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Iterator
 
 MAX_N = 64
 
@@ -80,16 +79,6 @@ def adjacent_bits(a: int, b: int, n: int) -> bool:
     return n % 2 == 0 and (a ^ b).bit_count() == n // 2
 
 
-def popcounts(n: int) -> np.ndarray:
-    """The popcount of every n-bit word, indexed by the word, by doubling."""
-    import numpy as np
-
-    c = np.zeros(1, dtype=np.int64)
-    for _ in range(n):
-        c = np.concatenate((c, c + 1))
-    return c
-
-
 def degree_of(n: int) -> int:
     """Vertex degree: the number of words at distance n/2."""
     return comb(n, n // 2) if n % 2 == 0 else 0
@@ -149,11 +138,8 @@ def connection_set(kind: GraphKind) -> list[int]:
             ]
             m *= 2
         return sorted(s)
-    # not above: the recursive graph's colourings never load numpy
-    import numpy as np
-
-    s = np.flatnonzero(popcounts(n) == n // 2).tolist() if n % 2 == 0 else []
-    return [d for d in s if not d & 1] if kind.family is Family.Y else s
+    step = 2 if kind.family is Family.Y else 1
+    return [d for d in range(0, 1 << n, step) if d.bit_count() == n // 2] if n % 2 == 0 else []
 
 
 def neighbours(kind: GraphKind, base: int) -> list[int]:

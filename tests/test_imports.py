@@ -51,6 +51,11 @@ def test_numpy_free_commands_and_their_verify_never_load_numpy(tmp_path):
         ["colour", "--n", "4", "--graph", "psi"],
         ["colour", "--n", "16", "--graph", "psi"],  # the colour16 bench workload
         ["families", "--n", "12", "--which", "m2k"],
+        # every full-graph colouring, and the verdicts and spectrum built on
+        # integers alone
+        *(["colour", "--n", str(n)] for n in (1, 2, 4, 6, 8, 10)),
+        *(["status", "--n", str(n)] for n in (4, 8, 12)),
+        ["spectrum", "--n", "4"],
     ]
     outs = [str(tmp_path / f"cert{i}.json") for i in range(len(emits))]
     runs = [argv + ["--out", out] for argv, out in zip(emits, outs)]
@@ -65,13 +70,12 @@ def test_numpy_free_commands_and_their_verify_never_load_numpy(tmp_path):
     "argv",
     [
         ["search", "--n", "8"],
-        ["spectrum", "--n", "4"],
-        ["status", "--n", "4"],
-        ["colour", "--n", "8"],
+        ["spectrum", "--n", "8"],
+        ["status", "--n", "16"],
         ["families", "--n", "8", "--which", "segment"],
         ["families", "--n", "12", "--which", "odd"],
     ],
-    ids=["search", "spectrum", "status", "omega-colour", "segment", "odd"],
+    ids=["search", "spectrum", "status", "segment", "odd"],
 )
 def test_commands_that_compute_with_numpy_load_it(tmp_path, argv):
     # the control: the probe above sees numpy whenever a command uses it

@@ -56,10 +56,11 @@ def test_adjacency_spectrum_is_the_transform():
 
 
 def test_adjacency_spectrum_refuses_n_above_16_before_any_array(monkeypatch):
-    def no_array(n):
-        raise AssertionError("a 2^n-entry array was built")
+    # the array is doubled from the weight row, so the row comes first
+    def no_array(kind):
+        raise AssertionError("the weight row was built before the refusal")
 
-    monkeypatch.setattr(spectral, "popcounts", no_array)
+    monkeypatch.setattr(spectral, "weight_row", no_array)
     for kind in (omega(18), y_quotient(20), omega(64)):
         with pytest.raises(ValueError):
             spectral.adjacency_spectrum(kind)

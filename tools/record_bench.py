@@ -94,8 +94,14 @@ def main(argv=None) -> int:
     parser.add_argument("--label", required=True)
     parser.add_argument("--side", action="append", required=True, metavar="NAME=DIR")
     args = parser.parse_args(argv)
-    sides = dict(s.split("=", 1) for s in args.side)
-    trees = {name: Path(d).resolve() for name, d in sides.items()}
+    trees: dict[str, Path] = {}
+    for side in args.side:
+        name, eq, d = side.partition("=")
+        if not (name and eq and d):
+            parser.error(f"--side {side!r}: expected NAME=DIR")
+        if name in trees:
+            parser.error(f"--side {name}: named twice")
+        trees[name] = Path(d).resolve()
     for name, tree in trees.items():
         if not (tree / "bench" / "run.py").is_file():
             parser.error(f"side {name}: no bench/run.py under {tree}")
