@@ -49,12 +49,16 @@ class EchelonResult:
     ``matrix == scale * R``, an int64 array of the input's shape, with
     the least positive scale that clears R's denominators, plus the rank
     and the pivot row indices (strictly increasing, one per pivot
-    column)."""
+    column).  ``inverse`` is the integer multiple of B^-1 the form was
+    built from, for the pivot block B of the input at ``pivot_rows`` and
+    ``columns``; it carries no proof of its own."""
 
     matrix: np.ndarray
     rank: int
     pivot_rows: list[int]
     scale: int
+    columns: list[int]
+    inverse: np.ndarray
 
 
 def _matrix(a: Matrix) -> np.ndarray:
@@ -196,7 +200,8 @@ def _echelon(full: np.ndarray) -> EchelonResult:
     g = gcd(d, *(x for row in m for x in row)) * (1 if d > 0 else -1)
     pad = [0] * (full.shape[1] - r)
     inverse = np.array([[x // g for x in row] + pad for row in m], dtype=np.int64)
-    c = _dot(full[:, cols], inverse.reshape(r, full.shape[1]))
+    inverse = inverse.reshape(r, full.shape[1])
+    c = _dot(full[:, cols], inverse)
     scale = d // g
     g = int(np.gcd.reduce(c.ravel(), initial=scale))
     c, scale = c // g, scale // g
@@ -206,7 +211,7 @@ def _echelon(full: np.ndarray) -> EchelonResult:
         and not any(c[:p, k:].any() for k, p in enumerate(piv + [len(c)]))
     ):
         raise ArithmeticError("echelon form fails its exact check")
-    return EchelonResult(matrix=c, rank=r, pivot_rows=piv, scale=int(scale))
+    return EchelonResult(c, r, piv, int(scale), cols, inverse[:, :r])
 
 
 def rank(a: Matrix) -> int:

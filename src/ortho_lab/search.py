@@ -4,9 +4,9 @@ The characteristic vector of a bound-attaining independent set containing
 the base vertex lies in the column space of the extended character matrix
 and vanishes on the base's neighbourhood; the kernel of the neighbourhood
 rows equals the row space of the extended complete-graph incidence matrix,
-which collapses the candidate space to 2^n vectors.  The echelon form of
-the collapsed matrix pins each candidate's coordinates to its entries on
-the pivot rows, so candidates are exactly the 0/1 assignments x and the
+which collapses the candidate space to 2^n vectors.  Any n independent
+rows of the collapsed matrix pin each candidate's coordinates to its
+entries on them, so candidates are exactly the 0/1 assignments x and the
 scan is exhaustive, not heuristic.
 
 The collapsed matrix comes from the 0/1 sign table of
@@ -16,17 +16,19 @@ ledger reads the neighbourhood rank off the Gram spectrum that
 incidence rows that the product check puts in the kernel give the upper
 bound.  Both eliminations on this path (the incidence rank inside the
 spectrum, the echelon form) guess their pivots mod a prime and prove
-them exactly.  The echelon matrix, integers over one scale, is the one
-``ratmat.rcef`` has checked exactly, and it is checked again here
-against the product matrix.  The scan
-runs on it in int64 (entry bounds are checked), on row blocks that start
-small and grow, since the first rows drop most candidates; survivors
-are re-verified by ``ratmat``'s exact product before certification.
+them exactly.  The echelon form is that of the base's distance-2 layer,
+the 1 + C(n, 2) rows of the words within two bits of the base or its
+complement, ordered by offset from the base: the same sparse matrix for
+every base, of rank n.  The int64 scan sets x a bit at a time and checks
+each layer row once its last nonzero column is set.  The layer only
+prunes: survivors are re-checked exactly on its form, then read on every
+row through its pivot block's checked inverse, and kept if 0/1 there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -37,6 +39,7 @@ from .graphs import (
     adjacent_bits,
     is_y_canonical,
     neighbours,
+    y_canonical_bits,
     y_quotient,
     y_vertices,
 )
@@ -71,6 +74,7 @@ class KernelReduction:
     n: int
     base: VertexWord
     product: np.ndarray  # _product_rows
+    layer: np.ndarray  # the product rows rcef ran on, in its order
     echelon: ratmat.EchelonResult
     incidence_rank: int
     neighbourhood_rank: int
@@ -79,8 +83,8 @@ class KernelReduction:
 
 
 def kernel_reduce(n: int, base: int = 0) -> KernelReduction:
-    """Run the rank bookkeeping and produce the echelon matrix that drives
-    enumeration.  Aborts unless the ledger closes (the checked Gram
+    """Run the rank bookkeeping and produce the layer's echelon matrix that
+    drives enumeration.  Aborts unless the ledger closes (the checked Gram
     spectrum gives incidence rank n and a neighbourhood kernel of the same
     dimension, and the neighbourhood rows of the product vanish, so the
     kernel is exactly the incidence row space) and the echelon rank is n,
@@ -121,7 +125,10 @@ def kernel_reduce(n: int, base: int = 0) -> KernelReduction:
             f"neighbourhood product zero {product_zero}"
         )
 
-    echelon = ratmat.rcef(product.tolist())
+    # the rows at u ^ base for u within two bits of 0 or of 1...1, ascending
+    near = sorted(y_canonical_bits(1 << i | 1 << j, n) for i, j in combinations(range(n), 2))
+    layer = (np.array([0, *near]) ^ base) >> 2
+    echelon = ratmat.rcef(product[layer].tolist())
     if echelon.rank != n:
         raise RuntimeError(
             f"echelon rank {echelon.rank} != {n}; construction is broken"
@@ -130,6 +137,7 @@ def kernel_reduce(n: int, base: int = 0) -> KernelReduction:
         n=n,
         base=VertexWord(base, n),
         product=product,
+        layer=layer,
         echelon=echelon,
         incidence_rank=incidence_rank,
         neighbourhood_rank=neighbourhood_rank,
@@ -189,54 +197,66 @@ def certify_indset(kind: GraphKind, vertices: Sequence[int], base: int = 0) -> I
 
 
 def _scan_01_candidates(cint: np.ndarray, scale: int) -> list[int]:
-    """All x below 2^columns for which every entry of (scaled echelon) * x
-    is 0 or the scale.  Candidates go in chunks, and each chunk meets the
-    rows in blocks of 32, 64, ... up to 1024 rows, each block only on
-    the candidates that passed every earlier one: the first rows already
-    drop most candidates."""
+    """All x below 2^columns, ascending, for which every entry of (scaled
+    echelon) * x is 0 or the scale.  Bit k of x is set at level k, and the
+    rows whose last nonzero entry is in column k are checked there, in
+    blocks of 16 rows on the partial x that passed every earlier row; an
+    all-zero row holds for every x."""
     import numpy as np
 
-    nrows, nbits = cint.shape
-    shifts = np.arange(nbits, dtype=np.int64)[:, None]
-    out: list[int] = []
-    for c0 in range(0, 1 << nbits, 8192):
-        xs = np.arange(c0, min(c0 + 8192, 1 << nbits), dtype=np.int64)
-        bits = (xs[None, :] >> shifts) & 1
-        r0, block = 0, 32
-        while r0 < nrows and xs.size:
-            z = cint[r0 : r0 + block] @ bits
-            ok = ((z == 0) | (z == scale)).all(axis=0)
-            xs, bits = xs[ok], bits[:, ok]
-            r0 += block
-            block = min(2 * block, 1024)
-        out.extend(xs.tolist())
-    return out
+    nbits = cint.shape[1]
+    nonzero = cint != 0
+    last = np.where(nonzero.any(axis=1), nbits - 1 - nonzero[:, ::-1].argmax(axis=1), -1)
+    xs = np.zeros(1, dtype=np.int64)
+    for k in range(nbits):
+        xs = np.concatenate([xs, xs | 1 << k])
+        level = cint[last == k, : k + 1]
+        for r0 in range(0, len(level), 16):
+            z = level[r0 : r0 + 16] @ (xs >> np.arange(k + 1)[:, None] & 1)
+            xs = xs[((z == 0) | (z == scale)).all(axis=0)]
+    return xs.tolist()
 
 
 def _echelon_candidates(n: int, base: int) -> list[list[int]]:
     """The vertex sets of the 0/1-valued candidates for n in {8, 12, 16}:
-    an int64 scan of the scaled echelon matrix C, once C has been checked
-    against the product matrix P it came from, then an exact re-check of
-    every survivor."""
+    an int64 scan of the layer's scaled echelon matrix C, once C has been
+    checked against the layer rows it came from, an exact re-check of
+    every survivor on C, then an exact reading of each on every product
+    row through the checked inverse of the layer's pivot block."""
     import numpy as np
 
     red = kernel_reduce(n, base)
-    scale = red.echelon.scale
+    ech = red.echelon
+    scale = ech.scale
     # rcef returns int64: only a substituted result can raise OverflowError here
-    cint = red.echelon.matrix.astype(np.int64, copy=False)
+    cint = ech.matrix.astype(np.int64, copy=False)
     # every candidate is a 0/1 vector, so no partial sum of the scan's dot
     # products exceeds n times the largest entry
     ratmat._int64(ratmat._absmax(cint) * n)
-    if not ratmat._echelon_identity(cint, scale, red.echelon.pivot_rows, red.product):
-        raise ArithmeticError("echelon matrix fails its check against the product rows")
-    order = y_vertices(n)
-    out = []
-    for x in _scan_01_candidates(cint, scale):
+    if not ratmat._echelon_identity(cint, scale, ech.pivot_rows, red.product[red.layer]):
+        raise ArithmeticError("echelon matrix fails its check against the layer rows")
+    xs = _scan_01_candidates(cint, scale)
+    for x in xs:
         z = ratmat.mat_vec(cint, x >> np.arange(n) & 1)
         if any(e not in (0, scale) for e in z):
             raise ArithmeticError(f"scan kept candidate {x}, which is not 0/1-valued")
-        out.append([order[i] for i, e in enumerate(z) if e == scale])
-    return out
+    # B @ inverse == d * I makes P[:, columns] @ inverse @ x / d the
+    # candidate with values x on the layer's pivot rows
+    product = red.product[:, ech.columns]
+    check = ratmat._dot(product[red.layer[ech.pivot_rows]], ech.inverse)
+    d = int(check[0, 0])
+    if not (d and np.array_equal(check, d * np.eye(n, dtype=np.int64))):
+        raise ArithmeticError("pivot block inverse fails its exact check")
+    bits = np.array(xs, dtype=np.int64) >> np.arange(n)[:, None] & 1
+    z = ratmat._dot(product, ratmat._dot(ech.inverse, bits))
+    ones = (z == d)[:, ((z == 0) | (z == d)).all(axis=0)]
+    # ascending x on the layer's lex-first pivot rows in row order (at
+    # n = 8 the whole product's); these mod-p pivots only order the output
+    rows = np.sort(red.layer)
+    first = rows[ratmat._minor(red.product[rows])[0]]
+    order = y_vertices(n)
+    survivors = sorted(ones.T, key=lambda col: sum(int(col[r]) << k for k, r in enumerate(first)))
+    return [[order[i] for i in np.flatnonzero(col)] for col in survivors]
 
 
 def _subset_candidates(n: int, base: int) -> list[list[int]]:

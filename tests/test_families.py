@@ -1,6 +1,7 @@
 """Structured independent families and the doubling bound."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -16,21 +17,24 @@ def test_segment_subsets_n8():
     assert all(w == 0 or (w & 1 and w.bit_count() == 2) for w in subs)
 
 
-def segment_subsets_by_filter(n):
-    """A Python filter over every word, the oracle for the popcount masks:
-    even size, at least half inside the first n/4 - 1 coordinates."""
-    seg = (1 << (n // 4 - 1)) - 1
-    return [
-        w
-        for w in range(1 << n)
-        if w.bit_count() % 2 == 0 and 2 * (w & seg).bit_count() >= w.bit_count()
-    ]
+def segment_subsets_by_choice(n):
+    """The oracle, built rather than filtered: i elements of the first
+    n/4 - 1 coordinates and j of the rest, with i + j even and i >= j."""
+    seg, rest = range(n // 4 - 1), range(n // 4 - 1, n)
+    return sorted(
+        sum(1 << e for e in inside + outside)
+        for i in range(len(seg) + 1)
+        for j in range(i + 1)
+        if (i + j) % 2 == 0
+        for inside in combinations(seg, i)
+        for outside in combinations(rest, j)
+    )
 
 
 @pytest.mark.parametrize("n", (8, 16))
 def test_segment_subsets_match_the_filter(n):
     subs = families.segment_subsets(n)
-    assert subs == segment_subsets_by_filter(n)
+    assert subs == segment_subsets_by_choice(n)
     assert all(type(w) is int for w in subs)
 
 

@@ -37,8 +37,25 @@ def test_kernel_reduce_n8():
     assert red.kernel_dim == 8
     assert red.neighbourhood_product_zero
     assert red.echelon.rank == 8
-    assert list(red.echelon.pivot_rows) == [0, 1, 2, 3, 4, 8, 16, 32]
+    # the 29 rows of the distance-2 layer: its pivots are the whole
+    # product's lex-first pivot rows
+    assert len(red.layer) == 1 + comb(8, 2)
+    assert [red.layer[p] for p in red.echelon.pivot_rows] == [0, 1, 2, 3, 4, 8, 16, 32]
     assert red.echelon.scale == 1
+
+
+@pytest.mark.parametrize("n", (8, 12, 16))
+def test_layer_is_the_same_matrix_for_every_base(n):
+    # the base's distance-2 layer, in the order of the offsets from the
+    # base, is base 0's layer; it has 1 + C(n, 2) rows
+    words = y_vertices(n)
+    bases = words if n == 8 else random.Random(n).sample(words[1:], 3)
+    plain = search.kernel_reduce(n)
+    assert len(plain.layer) == 1 + comb(n, 2)
+    assert all(min(w.bit_count(), n - w.bit_count()) <= 2 for w in np.array(words)[plain.layer])
+    for base in bases:
+        red = search.kernel_reduce(n, base)
+        assert np.array_equal(red.product[red.layer], plain.product[plain.layer])
 
 
 def test_kernel_reduce_checks_its_rank_ledger(monkeypatch):
@@ -114,6 +131,108 @@ def test_echelon_is_checked_against_the_product_rows(monkeypatch):
 
 # --- the int64 candidate scan -------------------------------------------------
 
+def block_scan(cint, scale):
+    """The scan over every product row, kept as the oracle: candidates
+    in chunks of 8192, rows in blocks of 32, 64, ... up to 1024, each
+    block only on the candidates that passed every earlier one."""
+    nrows, nbits = cint.shape
+    shifts = np.arange(nbits, dtype=np.int64)[:, None]
+    out = []
+    for c0 in range(0, 1 << nbits, 8192):
+        xs = np.arange(c0, min(c0 + 8192, 1 << nbits), dtype=np.int64)
+        bits = (xs[None, :] >> shifts) & 1
+        r0, block = 0, 32
+        while r0 < nrows and xs.size:
+            z = cint[r0 : r0 + block] @ bits
+            ok = ((z == 0) | (z == scale)).all(axis=0)
+            xs, bits = xs[ok], bits[:, ok]
+            r0 += block
+            block = min(2 * block, 1024)
+        out.extend(xs.tolist())
+    return out
+
+
+def all_rows_candidates(n, base):
+    """The search as it ran over all 2^(n-2) product rows: rcef of the
+    whole product, the block scan and the exact re-check of every
+    survivor, in ascending x on the product's own pivot rows."""
+    ech = ratmat.rcef(search._product_rows(n, base).tolist())
+    cint = ech.matrix.astype(np.int64)
+    order = y_vertices(n)
+    out = []
+    for x in block_scan(cint, ech.scale):
+        z = ratmat.mat_vec(cint, x >> np.arange(n) & 1)
+        assert all(e in (0, ech.scale) for e in z)
+        out.append([order[i] for i, e in enumerate(z) if e == ech.scale])
+    return out
+
+
+def _oracle_cases():
+    rng = random.Random(16)
+    return (
+        [(8, b) for b in y_vertices(8)]
+        + [(12, 0), (12, 0x3C), (12, 0x5A6)]
+        + [(16, 0), (16, 0x44CA)]
+        + [(16, b) for b in rng.sample(y_vertices(16)[1:], 2)]
+    )
+
+
+@pytest.mark.parametrize("n, base", _oracle_cases())
+def test_layer_search_matches_the_all_rows_oracle(n, base):
+    # the same member lists in the same order: every base at n = 8, where
+    # the order is the certificates' order, and seeded bases above
+    assert search._echelon_candidates(n, base) == all_rows_candidates(n, base)
+
+
+def test_every_product_row_decides_which_layer_survivors_stay(monkeypatch):
+    # a layer of only the n pivot rows keeps all 2^n assignments; the
+    # exact reading on every product row must drop all but the true ones
+    # (their order follows the thinned layer's pivot rows)
+    true_reduce = search.kernel_reduce
+
+    def thinned(n, base=0):
+        red = true_reduce(n, base)
+        layer = red.layer[red.echelon.pivot_rows]
+        ech = ratmat.rcef(red.product[layer].tolist())
+        return dataclasses.replace(red, layer=layer, echelon=ech)
+
+    true_scan = search._scan_01_candidates
+    scanned = []
+
+    def recording(cint, scale):
+        scanned.append(true_scan(cint, scale))
+        return scanned[-1]
+
+    monkeypatch.setattr(search, "kernel_reduce", thinned)
+    monkeypatch.setattr(search, "_scan_01_candidates", recording)
+    got = search._echelon_candidates(8, 0x3C)
+    assert scanned == [list(range(256))]
+    assert sorted(got) == sorted(all_rows_candidates(8, 0x3C))
+    assert len(got) == 9
+
+
+def test_a_forged_pivot_block_inverse_is_refused(monkeypatch):
+    # one entry off, or an inverse times a singular factor: the exact
+    # check B @ inverse == d * I refuses both before any survivor is read
+    true_rcef = ratmat.rcef
+
+    def forge(change):
+        def forged(a):
+            res = true_rcef(a)
+            bad = res.inverse.copy()
+            change(bad)
+            return dataclasses.replace(res, inverse=bad)
+        return forged
+
+    for change in (
+        lambda m: m.__setitem__((0, 1), m[0, 1] + 1),
+        lambda m: m.__setitem__((slice(None), 0), 0),
+    ):
+        monkeypatch.setattr(ratmat, "rcef", forge(change))
+        with pytest.raises(ArithmeticError, match="inverse"):
+            search.enumerate_candidates(8)
+
+
 def test_scan_survivors_are_rechecked_exactly(monkeypatch):
     true_scan = search._scan_01_candidates
     monkeypatch.setattr(search, "_scan_01_candidates", lambda c, scale: true_scan(c, scale) + [3])
@@ -141,30 +260,39 @@ def test_scan_matches_brute_force(n, base):
     assert search._scan_01_candidates(cint, ech.scale) == want
 
 
-def test_scan_reads_every_row_block():
-    # 3077 rows: blocks of 32, 64, ..., 1024 cover 2016, one more of 1024
-    # reaches 3040, and the last block is a 37-row tail; 3077 is a
-    # multiple of no block size.  Rows 0-2 drop x = 3, 5, 6 and 7, the
-    # middle rows keep everything, and only the last row drops x = 4.
-    cint = np.zeros((3077, 3), dtype=np.int64)
-    cint[:3] = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
-    cint[3:-1, 0] = 1
-    cint[-1] = [0, 0, -1]
-    assert brute_force_scan(cint.tolist(), 1, 3) == [0, 1, 2]
-    assert search._scan_01_candidates(cint, 1) == [0, 1, 2]
-    cint[-1] = 0
-    assert search._scan_01_candidates(cint, 1) == [0, 1, 2, 4]
-
-
-def test_scan_covers_every_candidate_chunk():
-    # 14 bits: the range [0, 16384) spans two candidate chunks; the
-    # scale-3 identity rows keep every x, the last row drops x with bit 12
-    # set and bit 13 clear
+def test_scan_checks_a_row_whose_last_nonzero_is_the_top_bit():
+    # all-zero rows hold for every x; the only other row is checked at
+    # the last level, and drops x with bit 4 set and bit 0 clear
+    cint = np.zeros((4, 5), dtype=np.int64)
+    cint[2, [0, 4]] = [2, -2]
+    want = brute_force_scan(cint.tolist(), 2, 5)
+    assert want == [x for x in range(32) if x & 0b10001 != 0b10000]
+    assert search._scan_01_candidates(cint, 2) == want
+    cint[2] = 0
+    assert search._scan_01_candidates(cint, 2) == list(range(32))
+    # 14 bits: the scale-3 identity rows keep every x below 2^14, and the
+    # last row, read at the last level, drops x with bit 12 set and bit
+    # 13 clear
     cint = np.zeros((45, 14), dtype=np.int64)
     cint[:14] = 3 * np.eye(14, dtype=np.int64)
     cint[-1, 12:] = [-3, 3]
     want = [x for x in range(1 << 14) if (x >> 12) & 3 != 1]
     assert search._scan_01_candidates(cint, 3) == want
+
+
+def test_scan_reads_every_row_block():
+    # 39 of the 40 rows end at column 2, so level 2 reads them in blocks
+    # of 16, 16 and 7; rows 0-2 drop x = 3, 5, 6 and 7, the middle rows
+    # keep everything, and only the last row, in the third block, drops 4
+    cint = np.zeros((40, 3), dtype=np.int64)
+    cint[:3] = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
+    cint[3:-1, 2] = 1
+    cint[-1, 2] = -1
+    assert brute_force_scan(cint.tolist(), 1, 3) == [0, 1, 2]
+    assert search._scan_01_candidates(cint, 1) == [0, 1, 2]
+    cint[-1] = 0
+    assert brute_force_scan(cint.tolist(), 1, 3) == [0, 1, 2, 4]
+    assert search._scan_01_candidates(cint, 1) == [0, 1, 2, 4]
 
 
 @pytest.mark.parametrize(
@@ -210,9 +338,10 @@ def test_echelon_checks_stay_exact_at_the_int64_edge(monkeypatch, row, match):
 
 
 def test_search_converts_each_matrix_once(monkeypatch):
-    # one list-to-array conversion per matrix: the 64 x 8 product rows
-    # and the spectrum's 8 x 28 incidence matrix; rcef's minor and its
-    # echelon form reuse the first, and no Gram matrix is eliminated
+    # one list-to-array conversion per matrix: the 29 x 8 layer rows and
+    # the spectrum's 8 x 28 incidence matrix; rcef's minor and its
+    # echelon form reuse the first, the certificates' order reads the
+    # product array, and no Gram matrix is eliminated
     seen = []
     true_matrix = ratmat._matrix
 
@@ -223,7 +352,7 @@ def test_search_converts_each_matrix_once(monkeypatch):
 
     monkeypatch.setattr(ratmat, "_matrix", recording)
     search.enumerate_candidates(8)
-    assert sorted(seen) == [(8, 28), (64, 8)]
+    assert sorted(seen) == [(8, 28), (29, 8)]
 
 
 @pytest.mark.parametrize("n", (8, 12, 16))
